@@ -9,6 +9,11 @@ LDA, models classes with shared-covariance Gaussians, refines the means by
 MMI gradient ascent (Eq. 14), and emits calibrated detection log-odds.
 The same machinery with N = 1 calibrates a single subsystem's scores —
 which is how every per-frontend EER/C_avg in Tables 2–4 is produced.
+
+When subsystems are missing (frontends dropped offline, circuit-broken
+online) the fitted backend cannot run; :func:`linear_fusion` — the
+Eq. 20 weighted sum over the survivors — is the one fallback both
+layers share.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from repro.backend.lda import LDA
 from repro.backend.mmi import MMITrainer
 from repro.utils.validation import check_matrix
 
-__all__ = ["LdaMmiFusion", "stack_scores", "subsystem_weights"]
+__all__ = ["LdaMmiFusion", "linear_fusion", "stack_scores", "subsystem_weights"]
 
 
 def subsystem_weights(fit_counts: np.ndarray | list[float]) -> np.ndarray:
@@ -57,6 +62,26 @@ def stack_scores(
     if weights.shape != (len(mats),):
         raise ValueError("one weight per subsystem required")
     return np.hstack([w * s for w, s in zip(weights, mats)])
+
+
+def linear_fusion(
+    score_matrices: list[np.ndarray], weights: np.ndarray | list[float]
+) -> np.ndarray:
+    """Eq. 20 linear fusion :math:`Σ_n w_n s_n` of N ``(m, K)`` matrices.
+
+    ``weights`` (one per matrix) are renormalized with
+    :func:`subsystem_weights`, so passing the fitted weights of just the
+    surviving subsystems renormalizes over the survivors.  The sum is
+    accumulated in subsystem order, which keeps the result bitwise
+    stable for a given input order.
+    """
+    weights = subsystem_weights(weights)
+    if weights.size != len(score_matrices):
+        raise ValueError("one weight per subsystem required")
+    fused = np.zeros_like(score_matrices[0], dtype=np.float64)
+    for w, scores in zip(weights, score_matrices):
+        fused += w * scores
+    return fused
 
 
 class LdaMmiFusion:

@@ -33,9 +33,11 @@ products, a re-run with an unchanged config executes zero decode work,
 and independent per-frontend stages fan out over a thread pool (a layer
 above the utterance-level :func:`~repro.utils.parallel.pmap`).
 
-Every stage is timed under a :class:`~repro.utils.timing.StageTimer` with
-the stage names of Table 5 (decoding / sv_generation / svm_training /
-sv_product).
+Every stage is timed by a :mod:`repro.obs.trace` span named after its
+Table 5 stage (decoding / sv_generation / svm_training / sv_product),
+with the processed speech as an ``audio_s`` counter; the runlog
+roll-up (:func:`repro.obs.runlog.aggregate_stages`) turns those into
+per-stage wall time and real-time factors.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.backend.fusion import LdaMmiFusion, subsystem_weights
+from repro.backend.fusion import LdaMmiFusion, linear_fusion, subsystem_weights
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.dba import PseudoLabels, build_dba_training_set, select_pseudo_labels
 from repro.core.voting import vote_count_matrix, vote_fit_counts
@@ -73,7 +75,6 @@ from repro.svm.vsm import VSM
 from repro.utils.parallel import effective_workers, pmap
 from repro.utils.rng import child_rng
 from repro.utils.sparse import SparseMatrix
-from repro.utils.timing import StageTimer
 
 __all__ = [
     "SubsystemScores",
@@ -250,13 +251,9 @@ class PhonotacticSystem:
 
     Parameters
     ----------
-    bundle / frontends / system / timer:
-        As before: the corpus bundle, recognizer battery, classifier
-        stack configuration and Table 5 stage timer.
-    matrix_cache:
-        Legacy :class:`repro.utils.io.MatrixCache` persisting only the
-        supervector matrices; superseded by ``store`` but still honoured
-        (consulted before decoding, and written through on compute).
+    bundle / frontends / system:
+        The corpus bundle, recognizer battery and classifier stack
+        configuration.
     store:
         Optional :class:`~repro.exec.store.ArtifactStore`.  When given,
         every stage product — φ(x) matrices, fitted VSM states, score
@@ -302,8 +299,6 @@ class PhonotacticSystem:
         frontends: list,
         system: SystemConfig | None = None,
         *,
-        timer: StageTimer | None = None,
-        matrix_cache=None,
         store: ArtifactStore | None = None,
         fingerprint: str | None = None,
         retry: RetryPolicy | None = None,
@@ -321,7 +316,6 @@ class PhonotacticSystem:
         self.bundle = bundle
         self.frontends = list(frontends)
         self.system = system or SystemConfig()
-        self.timer = timer or StageTimer()
         names = [fe.name for fe in self.frontends]
         if len(set(names)) != len(names):
             raise ValueError("frontend names must be unique")
@@ -329,9 +323,6 @@ class PhonotacticSystem:
         self.durations: tuple[float, ...] = tuple(bundle.config.durations)
         self._labels: dict[str, np.ndarray] = {}
         self._matrices: dict[tuple[str, str], SparseMatrix] = {}
-        #: optional repro.utils.io.MatrixCache persisting supervectors
-        #: across processes (the φ(x) work of Eqs. 16-19)
-        self.matrix_cache = matrix_cache
         #: optional repro.exec.store.ArtifactStore persisting all stage
         #: products (resumable campaigns)
         self.store = store
@@ -435,8 +426,8 @@ class PhonotacticSystem:
         """Decode + extract the raw supervector matrix (the ``phi`` stage).
 
         Results are cached in memory per (frontend, tag); with a
-        ``store`` (or the legacy ``matrix_cache``) configured, matrices
-        also persist to disk and are reloaded on subsequent runs.
+        ``store`` configured, matrices also persist to disk and are
+        reloaded on subsequent runs.
         Thread-safe: per-key locks let the stage graph decode different
         (frontend, corpus) pairs concurrently without duplicating work.
         """
@@ -485,10 +476,6 @@ class PhonotacticSystem:
 
     def _compute_raw_matrix(self, frontend, tag: str) -> SparseMatrix:
         """The uncached φ(x) work: decode every utterance and extract."""
-        if self.matrix_cache is not None and self.matrix_cache.has(
-            frontend.name, tag
-        ):
-            return self.matrix_cache.get(frontend.name, tag)
         corpus = self.corpus_for(tag)
         seed = self.system.seed
         audio = corpus.total_audio_seconds()
@@ -519,7 +506,8 @@ class PhonotacticSystem:
         )
         with trace.span("phi", frontend=frontend.name, corpus=tag) as sp:
             sp.inc("utterances", len(corpus))
-            with self.timer.stage("decoding", audio_seconds=audio):
+            with trace.span("decoding") as stage:
+                stage.inc("audio_s", audio)
                 if batch:
                     workers = effective_workers(self.system.workers)
                     utts = corpus.utterances
@@ -562,10 +550,9 @@ class PhonotacticSystem:
                 self.n_classes,
                 orders=self.system.orders,
             )
-            with self.timer.stage("sv_generation", audio_seconds=audio):
+            with trace.span("sv_generation") as stage:
+                stage.inc("audio_s", audio)
                 matrix = extractor.extract(sausages)
-        if self.matrix_cache is not None:
-            self.matrix_cache.put(frontend.name, tag, matrix)
         return matrix
 
     def pooled_test_matrix(self, frontend) -> SparseMatrix:
@@ -696,7 +683,8 @@ class PhonotacticSystem:
                 if tag == "dev":
                     return vsm.score_matrix(raw)
                 audio = self.corpus_for(tag).total_audio_seconds()
-                with self.timer.stage("sv_product", audio_seconds=audio):
+                with trace.span("sv_product") as stage:
+                    stage.inc("audio_s", audio)
                     return vsm.score_matrix(raw)
 
             name = f"score/{frontend.name}/{model_id}/{tag}"
@@ -776,7 +764,7 @@ class PhonotacticSystem:
 
             def fit(deps, frontend=frontend, q=q, phi_train=phi_train) -> VSM:
                 vsm = self._make_vsm(frontend, q)
-                with self.timer.stage("svm_training"):
+                with trace.span("svm_training"):
                     vsm.fit_matrix(deps[phi_train], y_train)
                 return vsm
 
@@ -906,7 +894,7 @@ class PhonotacticSystem:
                         variant, deps[phi_train], y_train, pooled, pseudo
                     )
                     vsm = self._make_vsm(frontend, 100 + q)
-                    with self.timer.stage("svm_training"):
+                    with trace.span("svm_training"):
                         vsm.fit_matrix(x_dba, y_dba)
                     return vsm
 
@@ -1041,15 +1029,8 @@ class PhonotacticSystem:
         (:mod:`repro.serve.artifacts`).
         """
         dev_labels = self.labels_for("dev")
-        dev_list: list[np.ndarray] = []
-        counts: list[float] = []
-        for result in results:
-            for sub in result.subsystems:
-                dev_list.append(sub.dev)
-            if isinstance(result, DBAResult) and result.fit_counts.size:
-                counts.extend(result.fit_counts.tolist())
-            else:
-                counts.extend([0.0] * len(result.subsystems))
+        dev_list = [sub.dev for result in results for sub in result.subsystems]
+        counts = _fit_counts(results)
         weights = (
             subsystem_weights(np.asarray(counts))
             if use_fit_count_weights and any(c > 0 for c in counts)
@@ -1081,23 +1062,23 @@ class PhonotacticSystem:
         renormalized over the surviving subsystems — and the result
         never persists to the store.
         """
+        test_list = [
+            sub.test[duration]
+            for result in results
+            for sub in result.subsystems
+        ]
         if self.degraded:
             with trace.span(
                 "fuse",
                 degraded=True,
                 members=[r.model_id for r in results],
             ):
-                return self._degraded_fused_scores(results, duration)
+                return linear_fusion(test_list, _fit_counts(results))
 
         def compute() -> np.ndarray:
             fusion = self.fit_fusion(
                 results, use_fit_count_weights=use_fit_count_weights
             )
-            test_list = [
-                sub.test[duration]
-                for result in results
-                for sub in result.subsystems
-            ]
             return fusion.transform(test_list)
 
         return run_stage(
@@ -1121,39 +1102,22 @@ class PhonotacticSystem:
             claims=self.claims,
         )
 
-    def _degraded_fused_scores(
-        self, results: list[SystemResult], duration: float
-    ) -> np.ndarray:
-        """Eq. 20 linear fusion over the surviving subsystems.
 
-        Mirrors :meth:`repro.serve.engine.ScoringEngine._degraded_fusion`:
-        per-subsystem weights come from the DBA fit counts
-        (w_n = M_n/ΣM_m, already renormalized over exactly the
-        subsystems present) or fall back to uniform, and the fused
-        score is the weighted sum of the raw subsystem score matrices.
-        """
-        test_list: list[np.ndarray] = []
-        counts: list[float] = []
-        for result in results:
-            for sub in result.subsystems:
-                test_list.append(sub.test[duration])
-            if isinstance(result, DBAResult) and result.fit_counts.size:
-                counts.extend(result.fit_counts.tolist())
-            else:
-                counts.extend([0.0] * len(result.subsystems))
-        weights = subsystem_weights(np.asarray(counts, dtype=np.float64))
-        fused = np.zeros_like(test_list[0], dtype=np.float64)
-        for w, scores in zip(weights, test_list):
-            fused += w * scores
-        return fused
+def _fit_counts(results: list[SystemResult]) -> list[float]:
+    """Per-subsystem DBA fit counts M_n (zeros for non-DBA results)."""
+    counts: list[float] = []
+    for result in results:
+        if isinstance(result, DBAResult) and result.fit_counts.size:
+            counts.extend(result.fit_counts.tolist())
+        else:
+            counts.extend([0.0] * len(result.subsystems))
+    return counts
 
 
 def build_system(
     config: ExperimentConfig | None = None,
     *,
-    timer: StageTimer | None = None,
     store: ArtifactStore | str | None = None,
-    matrix_cache=None,
     retry: RetryPolicy | None = None,
     on_error: str = "fail",
     max_quarantine_fraction: float = 0.1,
@@ -1163,9 +1127,7 @@ def build_system(
 
     ``store`` (an :class:`~repro.exec.store.ArtifactStore` or a
     directory path to open one at) attaches persistent stage memoization
-    keyed by the config's fingerprint; ``matrix_cache`` wires the legacy
-    supervector-only :class:`repro.utils.io.MatrixCache` for callers not
-    yet migrated to the store.  ``retry`` / ``on_error`` /
+    keyed by the config's fingerprint.  ``retry`` / ``on_error`` /
     ``max_quarantine_fraction`` configure the fault-tolerance ladder
     (see :class:`PhonotacticSystem`); ``claims`` attaches a
     :class:`repro.dist.LeaseBoard` so store-keyed stages are claimed
@@ -1184,8 +1146,6 @@ def build_system(
         bundle,
         frontends,
         config.system,
-        timer=timer,
-        matrix_cache=matrix_cache,
         store=store,
         fingerprint=config_fingerprint(config),
         retry=retry,

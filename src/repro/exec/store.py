@@ -1,8 +1,7 @@
 """Content-addressed persistence for pipeline stage products.
 
-The :class:`ArtifactStore` generalizes :class:`repro.utils.io.MatrixCache`
-from "supervector matrices keyed by (frontend, tag)" to *every* stage
-product the pipeline produces — raw φ(x) supervector matrices, fitted
+The :class:`ArtifactStore` persists *every* stage product the pipeline
+produces — raw φ(x) supervector matrices, fitted
 :class:`~repro.svm.vsm.VSM` state dicts, dense score matrices, vote/
 pseudo-label selections and fused score vectors.  Keys are
 content-addressed: :func:`stage_key` hashes the experiment config

@@ -11,7 +11,7 @@ benchmark harness can "show" Fig. 3 without matplotlib.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.metrics.eer import split_trials
 
@@ -48,7 +48,7 @@ def det_points_probit(
     p_fa, p_miss = det_curve(tar, non)
     p_fa = np.clip(p_fa, clip, 1.0 - clip)
     p_miss = np.clip(p_miss, clip, 1.0 - clip)
-    return norm.ppf(p_fa), norm.ppf(p_miss)
+    return ndtri(p_fa), ndtri(p_miss)
 
 
 def render_det_ascii(
@@ -76,7 +76,7 @@ def render_det_ascii(
                 float(np.clip(probs.min() * 0.8, 1e-3, 0.5)),
                 float(np.clip(probs.max() * 1.1, 0.05, 0.7)),
             )
-    lo, hi = norm.ppf(p_range[0]), norm.ppf(p_range[1])
+    lo, hi = ndtri(p_range[0]), ndtri(p_range[1])
     grid = [[" " for _ in range(width)] for _ in range(height)]
 
     def to_cell(x: float, y: float) -> tuple[int, int] | None:
@@ -88,8 +88,8 @@ def render_det_ascii(
 
     for name, (p_fa, p_miss) in curves.items():
         marker = name[0] if name else "?"
-        xs = norm.ppf(np.clip(p_fa, 1e-4, 1 - 1e-4))
-        ys = norm.ppf(np.clip(p_miss, 1e-4, 1 - 1e-4))
+        xs = ndtri(np.clip(p_fa, 1e-4, 1 - 1e-4))
+        ys = ndtri(np.clip(p_miss, 1e-4, 1 - 1e-4))
         for x, y in zip(xs, ys):
             cell = to_cell(float(x), float(y))
             if cell is not None:

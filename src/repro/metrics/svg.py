@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 __all__ = ["det_curves_svg", "save_det_svg"]
 
@@ -20,7 +20,7 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _probit(p: np.ndarray | float) -> np.ndarray:
-    return norm.ppf(np.clip(p, 1e-4, 1 - 1e-4))
+    return ndtri(np.clip(p, 1e-4, 1 - 1e-4))
 
 
 def det_curves_svg(

@@ -14,10 +14,11 @@ service:
   the digest function behind cache keys;
 - :mod:`repro.serve.server` — a stdlib-only JSON HTTP API
   (``/score``, ``/healthz``, ``/stats``) with backpressure (429) and
-  deadline (503) semantics;
-- :mod:`repro.serve.faults` — fault injection (``REPRO_FAULTS``) used
-  to exercise the overload/partial-failure contract in tests and
-  benchmarks.
+  deadline (503) semantics.
+
+Fault injection (``REPRO_FAULTS``), used to exercise the
+overload/partial-failure contract in tests and benchmarks, lives in
+:mod:`repro.faults` and is re-exported here.
 
 The engine is supervised and admission-controlled: the batcher thread
 restarts on unexpected exceptions, the queue is bounded
@@ -43,6 +44,7 @@ Quickstart::
         scores = engine.score_utterances(system.bundle.dev.utterances)
 """
 
+from repro.faults.injection import FaultPlan, InjectedFault
 from repro.serve.artifacts import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -61,7 +63,6 @@ from repro.serve.engine import (
     QueueFullError,
     ScoringEngine,
 )
-from repro.serve.faults import FaultPlan, InjectedFault
 from repro.serve.protocol import (
     utterance_digest,
     utterance_from_json,

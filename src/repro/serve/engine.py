@@ -56,7 +56,10 @@ and their partial score stacks are **not** cached, so recovery restores
 bitwise-identical output.
 
 Per-stage wall-clock accounting uses the Table 5 stage names
-(``decoding`` / ``sv_generation`` / ``sv_product`` plus ``fusion``).
+(``decoding`` / ``sv_generation`` / ``sv_product`` plus ``fusion``):
+each stage is one :mod:`repro.obs.trace` span (with an ``audio_s``
+counter, so traced runs keep their Table 5 real-time factors) and one
+observation of its ``serve.stage.<name>.seconds`` histogram.
 All counters and latency reservoirs live in a
 :class:`~repro.obs.metrics.MetricsRegistry` (``serve.*`` namespace);
 :meth:`ScoringEngine.stats` snapshots them in the historical key layout
@@ -75,7 +78,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.backend.fusion import linear_fusion
 from repro.corpus.generator import Utterance
+from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import TrainedSystem
 from repro.serve.cache import ScoreCache
@@ -83,7 +88,6 @@ from repro.faults.injection import FaultPlan
 from repro.serve.protocol import utterance_digest
 from repro.utils.parallel import effective_workers, pmap
 from repro.utils.rng import child_rng
-from repro.utils.timing import StageTimer
 
 __all__ = [
     "ScoringEngine",
@@ -228,7 +232,7 @@ class ScoringEngine:
     breaker_cooldown:
         Seconds an open breaker waits before admitting a probe batch.
     faults:
-        A :class:`~repro.serve.faults.FaultPlan` for fault injection;
+        A :class:`~repro.faults.FaultPlan` for fault injection;
         ``None`` reads the ``REPRO_FAULTS`` environment variable (empty
         plan — zero overhead — when unset).
     registry:
@@ -283,7 +287,6 @@ class ScoringEngine:
             cache_entries if self._cache_enabled else None,
             registry=self.metrics,
         )
-        self.timer = StageTimer()
         # Decode/extract once per *unique* frontend; subsystems (possibly
         # several per frontend, e.g. a DBA-M1+M2 export) share the raw
         # supervectors, mirroring the pipeline's Eq. 18-19 sharing.
@@ -625,12 +628,14 @@ class ScoringEngine:
     # ------------------------------------------------------------------
     @contextmanager
     def _stage(self, name: str, audio_seconds: float = 0.0) -> Iterator[None]:
-        with self.timer.stage(name, audio_seconds=audio_seconds):
-            start = time.perf_counter()
-            try:
+        start = time.perf_counter()
+        try:
+            with trace.span(name) as sp:
+                if audio_seconds:
+                    sp.inc("audio_s", audio_seconds)
                 yield
-            finally:
-                self._stage_hist[name].observe(time.perf_counter() - start)
+        finally:
+            self._stage_hist[name].observe(time.perf_counter() - start)
 
     def _score_batch(self, utterances: list[Utterance]) -> np.ndarray:
         """One matrix-level pass: cache → decode/φ/SVM for misses → fuse.
@@ -725,26 +730,15 @@ class ScoringEngine:
         with self._breaker_lock:
             self._last_dead = frozenset(dead)
         full = np.stack(stacks)  # (m, N, K)
-        if dead:
-            self._degraded_batches.inc()
+        if not dead:
             with self._stage("fusion"):
-                return self._degraded_fusion(full, dead)
-        with self._stage("fusion"):
-            return self.trained.fusion.transform(
-                [full[:, q, :] for q in range(n_sub)]
-            )
-
-    def _degraded_fusion(
-        self, full: np.ndarray, dead: set[str]
-    ) -> np.ndarray:
-        """Eq. 20 linear fusion restricted to the live subsystems.
-
-        The fitted LDA-MMI backend needs all N subsystem score blocks,
-        so with frontends down the engine falls back to the weighted
-        linear combination :math:`Σ_q w_q s_q` over surviving
-        subsystems, with the fitted weights renormalised to sum to one
-        over the survivors.
-        """
+                return self.trained.fusion.transform(
+                    [full[:, q, :] for q in range(n_sub)]
+                )
+        # The fitted LDA-MMI backend needs all N subsystem score blocks;
+        # fall back to Eq. 20 linear fusion over the survivors, with the
+        # fitted (or uniform) weights renormalised over them.
+        self._degraded_batches.inc()
         live = [
             q
             for q, (fe_name, _) in enumerate(self.trained.subsystems)
@@ -752,16 +746,12 @@ class ScoringEngine:
         ]
         weights = self.trained.fusion.weights_
         if weights is None:
-            weights = np.full(
-                len(self.trained.subsystems),
-                1.0 / len(self.trained.subsystems),
+            weights = np.full(n_sub, 1.0 / n_sub)
+        with self._stage("fusion"):
+            return linear_fusion(
+                [full[:, q, :] for q in live],
+                np.asarray(weights, dtype=np.float64)[live],
             )
-        live_weights = np.asarray(weights, dtype=np.float64)[live]
-        live_weights = live_weights / live_weights.sum()
-        fused = np.zeros((full.shape[0], full.shape[2]))
-        for w, q in zip(live_weights, live):
-            fused += w * full[:, q, :]
-        return fused
 
     # ------------------------------------------------------------------
     # observability
@@ -794,8 +784,8 @@ class ScoringEngine:
         for name in STAGE_NAMES:
             hist = self._stage_hist[name]
             stages[name] = {
-                "calls": self.timer.calls(name),
-                "elapsed_s": self.timer.elapsed(name),
+                "calls": hist.count,
+                "elapsed_s": hist.total,
                 "p50_ms": self._quantile_ms(hist, 50.0),
                 "p95_ms": self._quantile_ms(hist, 95.0),
             }

@@ -59,7 +59,13 @@ from repro.serve.engine import (
 )
 from repro.serve.protocol import utterance_from_json
 
-__all__ = ["ScoringServer", "ScoringRequestHandler", "make_server", "run_server"]
+__all__ = [
+    "JsonRequestHandler",
+    "ScoringServer",
+    "ScoringRequestHandler",
+    "make_server",
+    "run_server",
+]
 
 #: Cap on accepted request bodies (16 MiB) — a crude but effective guard
 #: against memory-exhaustion by a single oversized POST.
@@ -69,32 +75,27 @@ MAX_BODY_BYTES = 16 << 20
 RETRY_AFTER_S = 1
 
 
-class ScoringRequestHandler(BaseHTTPRequestHandler):
-    """Routes /score, /healthz and /stats onto the owning server's engine."""
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP/1.1 plumbing shared by the worker and front-door tiers.
 
-    server: "ScoringServer"
+    Owns the wire rules both tiers must agree on: keep-alive framing,
+    ``Retry-After`` on every 429/503, and reading the ``POST /score``
+    body (``Content-Length`` bound by :data:`MAX_BODY_BYTES`) with
+    ``Connection: close`` on any error sent before the body was read.
+    """
+
     protocol_version = "HTTP/1.1"
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging (stats() is the telemetry)."""
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        *,
-        close: bool = False,
-        retry_after: int | None = None,
-    ) -> None:
+    def _send_json(self, status: int, payload: dict, *, close: bool = False) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
+        if status in (429, 503):
+            self.send_header("Retry-After", str(RETRY_AFTER_S))
         if close:
             # The request body was not (fully) read; keeping this
             # connection alive would desync the next pipelined request.
@@ -104,23 +105,48 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_error_json(
-        self,
-        status: int,
-        message: str,
-        *,
-        close: bool = False,
-        retry_after: int | None = None,
+        self, status: int, message: str, *, close: bool = False
     ) -> None:
-        self._send_json(
-            status,
-            {"error": message},
-            close=close,
-            retry_after=retry_after,
-        )
+        self._send_json(status, {"error": message}, close=close)
 
-    # ------------------------------------------------------------------
-    # endpoints
-    # ------------------------------------------------------------------
+    def _read_utterances(self, convert=None) -> list | None:
+        """The ``utterances`` list of a ``POST /score`` body.
+
+        Each entry is passed through ``convert`` when given.  On any
+        problem the error response is sent here and ``None`` returned.
+        """
+        if self.path != "/score":
+            self._send_error_json(
+                404, f"unknown path {self.path!r}", close=True
+            )
+            return None
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            self._send_error_json(400, "bad Content-Length", close=True)
+            return None
+        if length <= 0 or length > MAX_BODY_BYTES:
+            self._send_error_json(
+                400, "request body missing or too large", close=True
+            )
+            return None
+        try:
+            utterances = json.loads(self.rfile.read(length))["utterances"]
+            if not isinstance(utterances, list):
+                raise TypeError("utterances must be a list")
+            if convert is not None:
+                utterances = [convert(u) for u in utterances]
+        except (KeyError, TypeError, ValueError) as exc:
+            self._send_error_json(400, f"bad request: {exc}")
+            return None
+        return utterances
+
+
+class ScoringRequestHandler(JsonRequestHandler):
+    """Routes /score, /healthz and /stats onto the owning server's engine."""
+
+    server: "ScoringServer"
+
     def do_GET(self) -> None:
         """Serve /healthz and /stats."""
         engine = self.server.engine
@@ -149,29 +175,8 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         """Serve /score."""
-        if self.path != "/score":
-            # Body unread: close to avoid a keep-alive desync.
-            self._send_error_json(
-                404, f"unknown path {self.path!r}", close=True
-            )
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_error_json(400, "bad Content-Length", close=True)
-            return
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_error_json(
-                400, "request body missing or too large", close=True
-            )
-            return
-        try:
-            payload = json.loads(self.rfile.read(length))
-            utterances = [
-                utterance_from_json(u) for u in payload["utterances"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            self._send_error_json(400, f"bad request: {exc}")
+        utterances = self._read_utterances(utterance_from_json)
+        if utterances is None:
             return
         engine = self.server.engine
         if not utterances:
@@ -186,24 +191,25 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
                 },
             )
             return
+        # The request leaves the gauge before its response is written, so
+        # a client's next /stats can never still count it in flight.
         inflight = engine.metrics.gauge("serve.inflight")
         inflight.add(1)
         try:
-            self._score(engine, utterances)
+            status, payload = self._score(engine, utterances)
         finally:
             inflight.add(-1)
+        self._send_json(status, payload)
 
-    def _score(self, engine: ScoringEngine, utterances: list) -> None:
-        """Submit one request's utterances and render the outcome."""
+    def _score(self, engine: ScoringEngine, utterances: list) -> tuple[int, dict]:
+        """Submit one request's utterances; ``(status, payload)`` to send."""
         start = time.monotonic()
         try:
             futures = [engine.submit(u) for u in utterances]
         except QueueFullError as exc:
-            self._send_error_json(429, str(exc), retry_after=RETRY_AFTER_S)
-            return
+            return 429, {"error": str(exc)}
         except EngineClosedError as exc:
-            self._send_error_json(503, str(exc), retry_after=RETRY_AFTER_S)
-            return
+            return 503, {"error": str(exc)}
         try:
             rows = []
             for future in futures:
@@ -220,25 +226,16 @@ class ScoringRequestHandler(BaseHTTPRequestHandler):
             # the request.
             for future in futures:
                 future.cancel()
-            self._send_error_json(
-                503,
-                "scoring did not finish within the deadline",
-                retry_after=RETRY_AFTER_S,
-            )
-            return
+            return 503, {"error": "scoring did not finish within the deadline"}
         except Exception as exc:  # engine-side failure
-            self._send_error_json(500, f"scoring failed: {exc}")
-            return
-        self._send_json(
-            200,
-            {
-                "languages": list(engine.languages),
-                "utt_ids": [u.utt_id for u in utterances],
-                "scores": scores.tolist(),
-                "predictions": engine.predict_languages(scores),
-                "degraded": engine.degraded,
-            },
-        )
+            return 500, {"error": f"scoring failed: {exc}"}
+        return 200, {
+            "languages": list(engine.languages),
+            "utt_ids": [u.utt_id for u in utterances],
+            "scores": scores.tolist(),
+            "predictions": engine.predict_languages(scores),
+            "degraded": engine.degraded,
+        }
 
 
 class ScoringServer(ThreadingHTTPServer):

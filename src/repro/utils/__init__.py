@@ -1,7 +1,6 @@
 """Shared infrastructure: RNG streams, sparse containers, timing, parallel map."""
 
 from repro.utils.io import (
-    MatrixCache,
     load_scores,
     load_sparse,
     save_scores,
@@ -11,7 +10,7 @@ from repro.utils.lru import LruTracker
 from repro.utils.parallel import chunked, effective_workers, pmap
 from repro.utils.rng import child_rng, ensure_rng, spawn_many
 from repro.utils.sparse import SparseMatrix, SparseVector
-from repro.utils.timing import CostLedger, StageTimer
+from repro.utils.timing import CostLedger
 from repro.utils.validation import (
     check_in,
     check_matrix,
@@ -23,7 +22,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "LruTracker",
-    "MatrixCache",
     "load_scores",
     "load_sparse",
     "save_scores",
@@ -34,7 +32,6 @@ __all__ = [
     "SparseMatrix",
     "SparseVector",
     "CostLedger",
-    "StageTimer",
     "pmap",
     "chunked",
     "effective_workers",

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.fusion import LdaMmiFusion, stack_scores, subsystem_weights
+from repro.backend.fusion import (
+    LdaMmiFusion,
+    linear_fusion,
+    stack_scores,
+    subsystem_weights,
+)
 from repro.metrics.eer import eer_from_matrix
 
 
@@ -15,6 +20,31 @@ def synthetic_scores(rng, n=200, k=4, quality=2.0):
     scores = rng.normal(-1.0, 1.0, size=(n, k))
     scores[np.arange(n), labels] += quality
     return scores, labels
+
+
+class TestLinearFusion:
+    def test_weighted_sum_of_renormalised_weights(self, rng):
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        fused = linear_fusion([a, b], [3.0, 1.0])
+        np.testing.assert_allclose(fused, 0.75 * a + 0.25 * b)
+
+    def test_accumulates_in_subsystem_order(self, rng):
+        mats = [rng.normal(size=(4, 2)) for _ in range(3)]
+        weights = np.array([0.2, 0.5, 0.3])
+        expected = np.zeros((4, 2))
+        for w, s in zip(weights / weights.sum(), mats):
+            expected += w * s
+        assert np.array_equal(linear_fusion(mats, weights), expected)
+
+    def test_zero_weights_fall_back_to_uniform(self, rng):
+        a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        np.testing.assert_allclose(
+            linear_fusion([a, b], [0.0, 0.0]), 0.5 * a + 0.5 * b
+        )
+
+    def test_weight_count_must_match(self, rng):
+        with pytest.raises(ValueError):
+            linear_fusion([rng.normal(size=(2, 2))], [0.5, 0.5])
 
 
 class TestSubsystemWeights:

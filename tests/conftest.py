@@ -59,6 +59,29 @@ def tiny_sausages(tiny_bundle, tiny_frontends):
     ]
 
 
+@pytest.fixture(scope="session")
+def run_traced():
+    """Run a callable under a fresh trace; returns ``(result, stages)``.
+
+    ``stages`` is the runlog roll-up
+    (:func:`repro.obs.runlog.aggregate_stages`) of every span the call
+    opened, keyed by name — the Table 5 stage accounting.
+    """
+    from repro.obs import trace
+    from repro.obs.runlog import aggregate_stages
+
+    def run(fn):
+        trace.start_trace("test")
+        try:
+            result = fn()
+        finally:
+            root = trace.stop_trace()
+        records = [sp.to_record() for sp in root.walk()]
+        return result, aggregate_stages(records[1:])
+
+    return run
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """Fresh deterministic RNG per test."""

@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+class TestColdStart:
+    def test_cli_import_skips_scipy_stats(self):
+        """Every CLI call, dist worker and cluster respawn pays this import."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestParser:

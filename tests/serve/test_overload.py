@@ -25,7 +25,7 @@ from repro.serve.engine import (
     QueueFullError,
     _Request,
 )
-from repro.serve.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan, InjectedFault
 from repro.utils.rng import child_rng
 
 
@@ -321,10 +321,9 @@ class TestConcurrentTraffic:
         """Thread hammer over one engine: exact counters, exact scores.
 
         The sync path (``score_utterances``) and the batcher both run
-        ``_score_batch`` against one ``ScoreCache``, one ``StageTimer``
-        and one metrics registry.  Audit result: every shared structure
-        is individually locked (cache, LRU, timer, instruments, breaker
-        state), and concurrent misses of the same digest at worst
+        ``_score_batch`` against one ``ScoreCache`` and one metrics
+        registry.  Audit result: every shared structure is individually
+        locked (cache, LRU, instruments, breaker state), and concurrent misses of the same digest at worst
         recompute the same deterministic value — so the invariants below
         must hold exactly, not approximately.
         """

@@ -16,7 +16,7 @@ import pytest
 
 from repro.serve import ScoringEngine, make_server, utterance_to_json
 from repro.serve.engine import EngineClosedError
-from repro.serve.faults import FaultPlan
+from repro.faults import FaultPlan
 
 
 @pytest.fixture()
@@ -117,6 +117,35 @@ class TestEndpoints:
         body = _post(server + "/score", {"utterances": []})
         assert body["utt_ids"] == []
         assert body["scores"] == []
+
+
+class TestInflightGauge:
+    def test_inflight_released_before_response_is_written(
+        self, serve_trained, serve_system, monkeypatch
+    ):
+        """A client's next /stats must never still count its request."""
+        from repro.serve.server import ScoringRequestHandler
+
+        engine = ScoringEngine(
+            serve_trained, batch_window=0.01, cache_entries=0
+        )
+        inflight = engine.metrics.gauge("serve.inflight")
+        seen = []
+        send_json = ScoringRequestHandler._send_json
+
+        def recording(self, status, payload, **kwargs):
+            if self.path == "/score" and status == 200:
+                seen.append(inflight.value)
+            send_json(self, status, payload, **kwargs)
+
+        monkeypatch.setattr(ScoringRequestHandler, "_send_json", recording)
+        utterances = list(serve_system.bundle.dev.utterances)[:2]
+        with _live_server(engine) as url:
+            _post(
+                url + "/score",
+                {"utterances": [utterance_to_json(u) for u in utterances]},
+            )
+        assert seen == [0]
 
 
 class TestErrors:
