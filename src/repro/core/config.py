@@ -52,7 +52,7 @@ class SystemConfig:
     svm_C: float = 1.0
     svm_loss: str = "l1"
     svm_max_epochs: int = 40
-    svm_tol: float = 5e-3
+    svm_tol: float = 1e-3
     tfllr: bool = True
     min_prob: float = 1e-5
     use_lda: bool = False
@@ -67,6 +67,7 @@ class SystemConfig:
         check_positive("svm_C", self.svm_C)
         check_in("svm_loss", self.svm_loss, ["l1", "l2"])
         check_positive("svm_max_epochs", self.svm_max_epochs)
+        check_positive("svm_tol", self.svm_tol)
 
 
 @dataclass(frozen=True)

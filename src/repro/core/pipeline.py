@@ -71,6 +71,7 @@ from repro.metrics.cavg import cavg
 from repro.metrics.eer import eer_from_matrix
 from repro.obs import trace
 from repro.obs.metrics import default_registry
+from repro.svm.linear import SOLVER
 from repro.svm.vsm import VSM
 from repro.utils.parallel import effective_workers, pmap
 from repro.utils.rng import child_rng
@@ -370,9 +371,16 @@ class PhonotacticSystem:
         corpus: str | None = None,
         **params,
     ) -> str | None:
-        """Store key of one stage execution (``None`` without a store)."""
+        """Store key of one stage execution (``None`` without a store).
+
+        Every stage past ``phi`` descends from a trained SVM, so its key
+        carries the solver identity: products of another solver's
+        arithmetic never answer for this one's.
+        """
         if self.store is None:
             return None
+        if stage != "phi":
+            params["solver"] = SOLVER
         return stage_key(
             stage,
             fingerprint=self.fingerprint,
@@ -573,6 +581,7 @@ class PhonotacticSystem:
             C=self.system.svm_C,
             loss=self.system.svm_loss,
             max_epochs=self.system.svm_max_epochs,
+            tol=self.system.svm_tol,
             tfllr=self.system.tfllr,
             min_prob=self.system.min_prob,
             seed=self.system.seed + seed_offset,
@@ -763,10 +772,9 @@ class PhonotacticSystem:
             phi_train = self._phi_stage(graph, frontend, "train")
 
             def fit(deps, frontend=frontend, q=q, phi_train=phi_train) -> VSM:
-                vsm = self._make_vsm(frontend, q)
-                with trace.span("svm_training"):
-                    vsm.fit_matrix(deps[phi_train], y_train)
-                return vsm
+                return _fit_traced(
+                    self._make_vsm(frontend, q), deps[phi_train], y_train
+                )
 
             fit_name = f"svm_train/{frontend.name}"
             graph.stage(
@@ -893,10 +901,9 @@ class PhonotacticSystem:
                     x_dba, y_dba = build_dba_training_set(
                         variant, deps[phi_train], y_train, pooled, pseudo
                     )
-                    vsm = self._make_vsm(frontend, 100 + q)
-                    with trace.span("svm_training"):
-                        vsm.fit_matrix(x_dba, y_dba)
-                    return vsm
+                    return _fit_traced(
+                        self._make_vsm(frontend, 100 + q), x_dba, y_dba
+                    )
 
                 fit_name = f"dba_train/{frontend.name}"
                 graph.stage(
@@ -1101,6 +1108,19 @@ class PhonotacticSystem:
             retry=self.retry,
             claims=self.claims,
         )
+
+
+def _fit_traced(vsm: VSM, x: SparseMatrix, labels: np.ndarray) -> VSM:
+    """Fit ``vsm`` under an ``svm_training`` span counting the solver's work.
+
+    ``rows`` is the training-set size and ``epochs`` the passes summed
+    over the one-vs-rest classes, so a runlog explains modeling cost.
+    """
+    with trace.span("svm_training") as stage:
+        vsm.fit_matrix(x, labels)
+        stage.inc("rows", x.n_rows)
+        stage.inc("epochs", sum(m.n_epochs_ for m in vsm.ovr.models_))
+    return vsm
 
 
 def _fit_counts(results: list[SystemResult]) -> list[float]:

@@ -245,10 +245,9 @@ class TFLLRScaler:
             self.scale_ = 1.0 / np.sqrt(np.maximum(p_all, self.min_prob))
             return self
         cols, inverse = np.unique(train.indices, return_inverse=True)
-        sums = np.zeros(cols.size, dtype=np.float64)
-        # Entry order matches column_sums()' np.add.at accumulation, so
-        # each column's sum is bitwise equal to the dense path.
-        np.add.at(sums, inverse, train.values)
+        # bincount accumulates in entry order, as column_sums()' np.add.at
+        # does, so each column's sum is bitwise equal to the dense path.
+        sums = np.bincount(inverse, weights=train.values, minlength=cols.size)
         p_observed = sums / train.n_rows
         self.dim_ = train.dim
         self.scale_indices_ = cols

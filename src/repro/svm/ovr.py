@@ -22,6 +22,7 @@ class OneVsRestSVM:
 
     Parameters are forwarded to each :class:`~repro.svm.linear.LinearSVC`;
     per-class models get distinct RNG seeds for their coordinate orders.
+    All K binary problems are solved on one shared kernel matrix.
     """
 
     def __init__(
@@ -60,18 +61,23 @@ class OneVsRestSVM:
             raise ValueError("labels must align with rows")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("label out of range")
-        self.models_ = []
-        for k in range(self.n_classes):
+        models = [
+            LinearSVC(seed=self.seed + k, **self._svm_kwargs)
+            for k in range(self.n_classes)
+        ]
+        # The kernel matrix does not depend on the labels: one for all K.
+        q = x.gram()
+        q += models[0].bias_scale**2
+        for k, model in enumerate(models):
             y = np.where(labels == k, 1.0, -1.0)
-            model = LinearSVC(seed=self.seed + k, **self._svm_kwargs)
             if np.all(y == -1.0) or np.all(y == 1.0):
                 # Degenerate one-vs-rest split: constant scorer.
                 model.weight_ = np.zeros(x.dim)
                 model.bias_ = -1.0 if np.all(y == -1.0) else 1.0
                 model.alpha_ = np.zeros(x.n_rows)
             else:
-                model.fit(x, y)
-            self.models_.append(model)
+                model.fit_gram(x, q, y)
+        self.models_ = models
         return self
 
     # ------------------------------------------------------------------

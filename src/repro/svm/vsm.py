@@ -32,7 +32,7 @@ class VSM:
         Number of target languages K.
     orders:
         N-gram orders of the supervector.
-    C, loss, max_epochs:
+    C, loss, max_epochs, tol:
         SVM hyper-parameters (forwarded).
     """
 
@@ -45,6 +45,7 @@ class VSM:
         C: float = 1.0,
         loss: str = "l1",
         max_epochs: int = 60,
+        tol: float = 1e-3,
         tfllr: bool = True,
         min_prob: float = 1e-5,
         seed: int = 0,
@@ -54,7 +55,12 @@ class VSM:
         self.tfllr = bool(tfllr)
         self.scaler = TFLLRScaler(min_prob=min_prob) if tfllr else None
         self.ovr = OneVsRestSVM(
-            n_classes, C=C, loss=loss, max_epochs=max_epochs, seed=seed
+            n_classes,
+            C=C,
+            loss=loss,
+            max_epochs=max_epochs,
+            tol=tol,
+            seed=seed,
         )
 
     # ------------------------------------------------------------------
@@ -121,6 +127,7 @@ class VSM:
             C=float(state["ovr.C"]),
             loss=str(state["ovr.loss"]),
             max_epochs=int(state["ovr.max_epochs"]),
+            tol=float(state["ovr.tol"]),
             tfllr=tfllr,
             min_prob=float(state["min_prob"]) if tfllr else 1e-5,
             seed=int(state["ovr.seed"]),

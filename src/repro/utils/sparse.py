@@ -18,7 +18,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.utils.blas import single_threaded_blas
+
 __all__ = ["SparseVector", "SparseMatrix"]
+
+#: Columns densified per pass, and rows per output tile, in
+#: :meth:`SparseMatrix.gram`; bounds its dense temporaries at
+#: ``n_rows × GRAM_BLOCK`` float64 values.
+GRAM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -269,14 +276,44 @@ class SparseMatrix:
         out[self._row_of_entry(), self.indices] = self.values
         return out
 
-    def gram(self, other: "SparseMatrix") -> np.ndarray:
-        """Return the ``(n_self, n_other)`` Gram matrix of inner products."""
-        if other.dim != self.dim:
+    def rmatvec_dense(self, v: np.ndarray) -> np.ndarray:
+        """Return ``Xᵀ v`` (length ``dim``) for a dense ``v`` of ``n_rows``."""
+        if v.shape != (self.n_rows,):
             raise ValueError("dimension mismatch")
-        out = np.empty((self.n_rows, other.n_rows), dtype=np.float64)
-        rows_o = [other.row(j) for j in range(other.n_rows)]
-        for i in range(self.n_rows):
-            ri = self.row(i)
-            for j, rj in enumerate(rows_o):
-                out[i, j] = ri.dot(rj)
+        weights = self.values * np.repeat(v, np.diff(self.indptr))
+        return np.bincount(self.indices, weights=weights, minlength=self.dim)
+
+    def gram(self) -> np.ndarray:
+        """Return the ``(n_rows, n_rows)`` Gram matrix ``X Xᵀ``.
+
+        The columns in use are numbered densely and densified
+        :data:`GRAM_BLOCK` at a time.  Each block adds its products to
+        the upper-triangle tiles of ``GRAM_BLOCK`` rows, with BLAS on one
+        thread (see :mod:`repro.utils.blas`), and the lower triangle is
+        mirrored at the end.  Besides the result, memory stays at one
+        ``n_rows × GRAM_BLOCK`` block and one tile, however large
+        ``dim`` and ``n_rows`` are.
+        """
+        n = self.n_rows
+        used = np.zeros(self.dim, dtype=bool)
+        used[self.indices] = True
+        n_used = int(used.sum())
+        cols = (np.cumsum(used, dtype=np.int32) - 1)[self.indices]
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        block_of = cols // GRAM_BLOCK
+        tiles = [
+            slice(lo, min(lo + GRAM_BLOCK, n)) for lo in range(0, n, GRAM_BLOCK)
+        ]
+        out = np.zeros((n, n), dtype=np.float64)
+        with single_threaded_blas():
+            for k, lo in enumerate(range(0, n_used, GRAM_BLOCK)):
+                take = np.flatnonzero(block_of == k)
+                dense = np.zeros((n, min(GRAM_BLOCK, n_used - lo)))
+                dense[rows[take], cols[take] - lo] = self.values[take]
+                for a, tile_a in enumerate(tiles):
+                    for tile_b in tiles[a:]:
+                        out[tile_a, tile_b] += dense[tile_a] @ dense[tile_b].T
+        for a, tile_a in enumerate(tiles):
+            for tile_b in tiles[a + 1 :]:
+                out[tile_b, tile_a] = out[tile_a, tile_b].T
         return out

@@ -179,6 +179,25 @@ class TestEvaluation:
         assert 0.0 <= eer <= 100.0
 
 
+class TestSolverSettings:
+    def test_svm_tol_reaches_the_solver(
+        self, system, tiny_bundle, tiny_frontends
+    ):
+        frontend = tiny_frontends[0]
+        raw = system.raw_matrix(frontend, "train")
+        labels = system.labels_for("train")
+        epochs = []
+        for tol in (0.5, 1e-6):
+            config = SystemConfig(
+                orders=(1, 2), svm_max_epochs=200, svm_tol=tol
+            )
+            other = PhonotacticSystem(tiny_bundle, tiny_frontends, config)
+            fitted = other._make_vsm(frontend, 0).fit_matrix(raw, labels)
+            assert fitted.ovr.state_dict()["tol"] == tol
+            epochs.append(sum(m.n_epochs_ for m in fitted.ovr.models_))
+        assert epochs[0] < epochs[1]
+
+
 class TestValidation:
     def test_needs_frontends(self, tiny_bundle):
         with pytest.raises(ValueError):

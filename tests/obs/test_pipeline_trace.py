@@ -75,6 +75,26 @@ class TestTracedPipeline:
         select = [r for r in traced_runlog.spans if r["name"] == "dba_select"]
         assert select and "margin_mean" in select[0]["attrs"]
 
+    def test_svm_training_spans_count_solver_work(
+        self, traced_runlog, tiny_bundle
+    ):
+        """Baseline + one DBA-M2 pass: one fit per frontend each."""
+        spans = [
+            r for r in traced_runlog.spans if r["name"] == "svm_training"
+        ]
+        assert len(spans) == 4
+        n_train = len(tiny_bundle.train)
+        n_classes = len(tiny_bundle.registry)
+        for rec in spans:
+            counters = rec["counters"]
+            # M2 retrains on Tr plus the pseudo-labelled pool.
+            assert counters["rows"] >= n_train
+            assert n_classes <= counters["epochs"] <= n_classes * 15
+        baseline_rows = sorted(r["counters"]["rows"] for r in spans)[:2]
+        assert baseline_rows == [n_train, n_train]
+        text = render_runlog(traced_runlog)
+        assert "epochs=" in text and "rows=" in text
+
     def test_manifest_carries_provenance(self, traced_runlog):
         manifest = traced_runlog.manifest
         assert manifest["attrs"]["config_sha256"] == "test-fingerprint"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.sparse import SparseMatrix, SparseVector
+from repro.utils.sparse import GRAM_BLOCK, SparseMatrix, SparseVector
 
 
 def dense_to_sparse(vec: np.ndarray) -> SparseVector:
@@ -173,7 +173,45 @@ class TestSparseMatrix:
 
     def test_gram_matches_dense(self):
         m, dense = self._matrix()
-        np.testing.assert_allclose(m.gram(m), dense @ dense.T)
+        np.testing.assert_allclose(m.gram(), dense @ dense.T)
+
+    def test_gram_spans_column_blocks(self):
+        """Used columns over several GRAM_BLOCK-wide blocks, last narrower."""
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=(7, 3000))
+        dense[rng.random(dense.shape) < 0.6] = 0.0
+        m = SparseMatrix.from_rows([dense_to_sparse(r) for r in dense])
+        used = np.count_nonzero(dense.any(axis=0))
+        assert used > 2 * GRAM_BLOCK and used % GRAM_BLOCK
+        np.testing.assert_allclose(m.gram(), dense @ dense.T)
+
+    def test_gram_spans_row_tiles(self):
+        """More rows than GRAM_BLOCK: tiled products, mirrored lower half."""
+        rng = np.random.default_rng(9)
+        dense = rng.normal(size=(GRAM_BLOCK + 90, 40))
+        dense[rng.random(dense.shape) < 0.7] = 0.0
+        m = SparseMatrix.from_rows([dense_to_sparse(r) for r in dense])
+        q = m.gram()
+        np.testing.assert_allclose(q, dense @ dense.T, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(q, q.T)
+
+    def test_gram_is_symmetric(self):
+        m, _ = self._matrix()
+        q = m.gram()
+        assert np.array_equal(q, q.T)
+
+    def test_gram_of_empty_rows(self):
+        assert SparseMatrix.from_rows([], dim=6).gram().shape == (0, 0)
+        rows = [SparseVector.from_dict(6, {})] * 2
+        q = SparseMatrix.from_rows(rows).gram()
+        assert np.array_equal(q, np.zeros((2, 2)))
+
+    def test_rmatvec_matches_dense(self):
+        m, dense = self._matrix()
+        v = np.arange(5.0) - 2.0
+        np.testing.assert_allclose(m.rmatvec_dense(v), dense.T @ v)
+        with pytest.raises(ValueError):
+            m.rmatvec_dense(np.ones(4))
 
     def test_empty_matrix_needs_dim(self):
         with pytest.raises(ValueError):
