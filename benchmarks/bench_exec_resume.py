@@ -18,7 +18,7 @@ the store) and asserts:
 
 A second gate targets the *cold* pass itself: the batched decode +
 sparse-φ fast path must beat the seed reference implementations
-(selected with ``REPRO_PHI_REFERENCE=1``) by at least 5x on a cold
+(installed from ``tests/ngram/phi_oracle.py``) by at least 5x on a cold
 campaign, while regenerating bitwise-identical tables — the fast path
 is pure speed, never a numbers change.
 
@@ -39,6 +39,7 @@ from _tables import tables_match
 from repro.core import bench_scale, build_system, run_campaign, smoke_scale
 from repro.exec import ArtifactStore
 from repro.obs.metrics import default_registry
+from tests.ngram.phi_oracle import install_phi_oracles
 
 #: Sweep a single variant/threshold pair: resume economics are per-stage,
 #: so a minimal grid measures the same mechanism in a fraction of the time.
@@ -116,10 +117,11 @@ def test_cold_campaign_fast_vs_reference(
 ):
     """Batched decode + sparse φ must be >= 5x faster than the seed path.
 
-    ``REPRO_PHI_REFERENCE=1`` selects the original per-slot/per-window
-    reference implementations throughout the φ pipeline (confusion
-    decode, expected-count accumulation, supervector assembly, TFLLR
-    scaling) — the seed decode path this PR replaced.  Both passes run
+    :func:`tests.ngram.phi_oracle.install_phi_oracles` patches in the
+    original per-slot/per-window reference implementations throughout
+    the φ pipeline (confusion decode, expected-count accumulation,
+    supervector assembly, TFLLR scaling) — the seed decode path that the
+    fast path replaced.  Both passes run
     *cold* against their own store, so the comparison is pure compute,
     not cache economics.  The fast path is contractually bitwise in
     float64, so the regenerated tables must be identical — checked with
@@ -134,10 +136,12 @@ def test_cold_campaign_fast_vs_reference(
     registry = default_registry()
 
     def run_cold(tag: str, reference: bool) -> tuple[float, object, float]:
-        if reference:
-            monkeypatch.setenv("REPRO_PHI_REFERENCE", "1")
-        else:
-            monkeypatch.delenv("REPRO_PHI_REFERENCE", raising=False)
+        with monkeypatch.context() as patches:
+            if reference:
+                install_phi_oracles(patches)
+            return _run_cold(tag)
+
+    def _run_cold(tag: str) -> tuple[float, object, float]:
         registry.reset()
         system = build_system(
             campaign_config,

@@ -32,7 +32,7 @@ from repro.core import (
     smoke_scale,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ExperimentConfig",

@@ -392,7 +392,6 @@ def cmd_serve(args) -> int:
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         cache_entries=args.cache_entries,
-        workers=args.decode_workers,
         max_queue=args.max_queue if args.max_queue > 0 else None,
         deadline=args.deadline if args.deadline > 0 else None,
     )
@@ -737,11 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine worker *processes*: 0 = classic in-process server, "
         "N >= 1 = the repro.cluster tier (front door + N workers "
         "sharing the mmap-loaded artifact)",
-    )
-    p.add_argument(
-        "--decode-workers", type=int, default=None,
-        help="decode thread-pool width per engine "
-        "(default: auto / REPRO_WORKERS)",
     )
     p.add_argument(
         "--max-queue", type=int, default=1024,

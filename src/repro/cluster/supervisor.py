@@ -91,12 +91,6 @@ class WorkerSupervisor(ProcessFleet):
         self.artifact_dir = str(artifact_dir)
         self.host = host
         self.engine_kwargs = dict(engine_kwargs or {})
-        # Default each worker's decode pool to serial: the cluster
-        # scales by *process count*, and N workers × auto-sized nested
-        # pools would oversubscribe the host.  An explicit width (CLI
-        # --decode-workers) still wins.
-        if self.engine_kwargs.get("workers") is None:
-            self.engine_kwargs["workers"] = 1
         self.worker_env = {
             slot: dict(env) for slot, env in (worker_env or {}).items()
         }

@@ -44,7 +44,11 @@ class SystemConfig:
         reduced dev size it amplifies scatter-estimation noise, so it
         defaults off (see bench_ablation_backend for the measured effect).
     workers:
-        Process-pool width for utterance-level fan-out (1 = serial).
+        Thread width of the :class:`~repro.exec.graph.StageGraph`
+        fan-out over independent per-frontend stages (1 = serial).
+        Each φ stage decodes its whole corpus in one batched call in its
+        own thread; no process pool is forked from those threads.
+        ``0`` auto-sizes to the host.
     """
 
     orders: tuple[int, ...] = (1, 2)

@@ -66,6 +66,7 @@ from repro.exec.graph import (
 from repro.exec.store import ArtifactStore, stage_key
 from repro.faults import AllFrontendsFailedError, RetryPolicy
 from repro.frontend.lattice import Sausage
+from repro.frontend.recognizer import decode_utterances
 from repro.frontend.registry import build_frontends
 from repro.metrics.cavg import cavg
 from repro.metrics.eer import eer_from_matrix
@@ -73,8 +74,7 @@ from repro.obs import trace
 from repro.obs.metrics import default_registry
 from repro.svm.linear import SOLVER
 from repro.svm.vsm import VSM
-from repro.utils.parallel import effective_workers, pmap
-from repro.utils.rng import child_rng
+from repro.utils.parallel import pmap
 from repro.utils.sparse import SparseMatrix
 
 __all__ = [
@@ -166,31 +166,10 @@ class DBAResult(SystemResult):
         return f"dba-{self.variant}-V{self.threshold}"
 
 
-def _decode_utterance(frontend, seed: int, utterance):
-    """Top-level decode unit (picklable for the process-pool path)."""
-    return frontend.decode(
-        utterance, child_rng(seed, f"decode/{frontend.name}/{utterance.utt_id}")
-    )
-
-
 def _frontend_stage_params(frontend) -> dict[str, object]:
     """A frontend's numerics-changing decode params (may be absent)."""
     getter = getattr(frontend, "stage_params", None)
     return getter() if callable(getter) else {}
-
-
-def _decode_utterance_batch(frontend, seed: int, utterances):
-    """Top-level batched decode unit (picklable for the pool path).
-
-    Uses the exact per-utterance RNG streams :func:`_decode_utterance`
-    would, so batched and per-utterance fan-outs produce identical
-    sausages and the φ stage key can stay the same.
-    """
-    rngs = [
-        child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
-        for u in utterances
-    ]
-    return frontend.decode_batch(utterances, rngs)
 
 
 def evaluate_scores(
@@ -454,9 +433,8 @@ class PhonotacticSystem:
                     frontend=frontend.name,
                     corpus=tag,
                     # Decode knobs that change numerics (float32 DP,
-                    # beam pruning) key separate artifacts; plain
-                    # batched float64 decoding is bitwise-identical and
-                    # adds nothing here.
+                    # beam pruning) key separate artifacts; the float64
+                    # exact DP adds nothing here.
                     **_frontend_stage_params(frontend),
                 )
                 matrix = run_stage(
@@ -487,12 +465,10 @@ class PhonotacticSystem:
         corpus = self.corpus_for(tag)
         seed = self.system.seed
         audio = corpus.total_audio_seconds()
-        decode = partial(_decode_utterance, frontend, seed)
         # Under quarantine/degrade a persistently failing utterance is
         # skipped: its slot becomes an empty sausage (a zero
         # supervector contribution), the same shape-preserving move the
         # paper's fleet would make by dropping one recognizer output.
-        quarantine = self.on_error in ("quarantine", "degrade")
         quarantined: list[int] = []
         pmap_opts = (
             dict(
@@ -501,47 +477,22 @@ class PhonotacticSystem:
                 quarantine_value=Sausage([], frontend.phone_set),
                 quarantined=quarantined,
             )
-            if quarantine
+            if self.on_error in ("quarantine", "degrade")
             else {}
-        )
-        # Batched decoding amortises the per-frame DP over the whole
-        # corpus (bitwise-identical in float64).  Quarantine needs
-        # per-utterance fault isolation, so it keeps the scalar fan-out.
-        batch = (
-            not quarantine
-            and hasattr(frontend, "decode_batch")
-            and getattr(frontend, "is_trained", True)
         )
         with trace.span("phi", frontend=frontend.name, corpus=tag) as sp:
             sp.inc("utterances", len(corpus))
             with trace.span("decoding") as stage:
                 stage.inc("audio_s", audio)
-                if batch:
-                    workers = effective_workers(self.system.workers)
-                    utts = corpus.utterances
-                    n_chunks = (
-                        1
-                        if workers == 1
-                        else max(1, min(len(utts), workers * 4))
-                    )
-                    chunks = [
-                        list(c)
-                        for c in np.array_split(np.array(utts, dtype=object), n_chunks)
-                        if len(c)
-                    ]
-                    batches = pmap(
-                        partial(_decode_utterance_batch, frontend, seed),
-                        chunks,
-                        workers=workers,
-                    )
-                    sausages = [s for chunk in batches for s in chunk]
-                else:
-                    sausages = pmap(
-                        decode,
-                        corpus.utterances,
-                        workers=self.system.workers,
-                        **pmap_opts,
-                    )
+                # One serial decode_batch call: the StageGraph threads
+                # already spread frontends over system.workers, and a
+                # pool forked from one of them could inherit a lock a
+                # sibling thread holds.
+                sausages = pmap(
+                    partial(decode_utterances, frontend, seed),
+                    corpus.utterances,
+                    **pmap_opts,
+                )
             if quarantined:
                 utt_ids = [
                     corpus.utterances[i].utt_id for i in quarantined

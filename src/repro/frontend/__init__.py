@@ -7,7 +7,11 @@ from repro.frontend.decoder import (
     estimate_phone_bigram,
 )
 from repro.frontend.lattice import Lattice, Sausage, SausageSlot, pinch_lattice
-from repro.frontend.recognizer import AcousticPhoneRecognizer, PhoneRecognizer
+from repro.frontend.recognizer import (
+    AcousticPhoneRecognizer,
+    PhoneRecognizer,
+    decode_utterances,
+)
 from repro.frontend.registry import PAPER_FRONTENDS, FrontendSpec, build_frontends
 
 __all__ = [
@@ -22,6 +26,7 @@ __all__ = [
     "pinch_lattice",
     "AcousticPhoneRecognizer",
     "PhoneRecognizer",
+    "decode_utterances",
     "PAPER_FRONTENDS",
     "FrontendSpec",
     "build_frontends",

@@ -26,7 +26,6 @@ of the two paths at small scale is covered by integration tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from repro.corpus.acoustics import AcousticSpace
 from repro.corpus.generator import Utterance
 from repro.corpus.phoneset import PhoneSet, sample_inventory
-from repro.frontend.lattice import Sausage, SausageSlot
+from repro.frontend.lattice import Sausage
 from repro.utils.rng import child_rng, ensure_rng
 from repro.utils.validation import check_positive, check_probability
 
@@ -206,22 +205,11 @@ class ConfusionChannelRecognizer:
         (d) per-slot Dirichlet jitter that plays the role of per-utterance
         acoustic variability.
 
-        All slots are built in one batch of whole-array operations that
-        consume the identical RNG bitstream as the per-slot reference
-        loop (:meth:`_decode_reference`, kept selectable with
-        ``REPRO_PHI_REFERENCE=1`` and tested bitwise-equal), so tables
-        are unchanged while decode drops off the campaign profile.
+        A batch of one through :meth:`decode_batch`.
         """
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return self._decode_reference(utterance, rng)
-        rng = ensure_rng(
-            rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
-        )
-        noisy = self._jittered_slots(utterance, rng)
-        if noisy is None:
-            return Sausage([], self.phone_set)
-        slot_phones, slot_probs = self._rank_slots(noisy)
-        return Sausage.from_slot_arrays(slot_phones, slot_probs, self.phone_set)
+        return self.decode_batch(
+            [utterance], None if rng is None else [rng]
+        )[0]
 
     def decode_batch(
         self,
@@ -230,13 +218,13 @@ class ConfusionChannelRecognizer:
     ) -> list[Sausage]:
         """Decode many utterances, amortising slot post-processing.
 
-        Every utterance consumes exactly the RNG bitstream :meth:`decode`
-        would (sampling stays per utterance), but top-k selection,
-        renormalisation and slot-array validation run once over the
-        vertical concatenation of all slot matrices.  Those operations
-        are row-wise, so each row of the contiguous concatenation is
-        computed exactly as in the per-utterance call — the sausages are
-        bitwise identical to looping :meth:`decode`.
+        Sampling stays per utterance, each from its own RNG
+        (``child_rng(0, "decode/<utt_id>")`` when ``rngs`` is not given),
+        and consumes the same bitstream as a per-slot loop would; top-k
+        selection, renormalisation and slot-array validation run once
+        over the vertical concatenation of all slot matrices.  Those
+        operations are row-wise, so a sausage is bitwise the same
+        whatever else is in the batch.
         """
         if rngs is None:
             rngs = [
@@ -244,11 +232,6 @@ class ConfusionChannelRecognizer:
             ]
         if len(rngs) != len(utterances):
             raise ValueError("rngs must match utterances in length")
-        if os.environ.get("REPRO_PHI_REFERENCE"):
-            return [
-                self._decode_reference(u, r)
-                for u, r in zip(utterances, rngs)
-            ]
         noisies = [
             self._jittered_slots(u, ensure_rng(r))
             for u, r in zip(utterances, rngs)
@@ -280,8 +263,9 @@ class ConfusionChannelRecognizer:
     ) -> np.ndarray | None:
         """Sample the utterance's gamma-jittered slot matrix.
 
-        Consumes the identical bitstream as the per-slot reference loop;
-        returns ``None`` when the utterance decodes to an empty sausage.
+        Consumes the same bitstream as a per-slot loop over the symbol
+        stream would; returns ``None`` when the utterance decodes to an
+        empty sausage.
         """
         m = self.model
         err = self._session_error(utterance)
@@ -293,7 +277,7 @@ class ConfusionChannelRecognizer:
         keep = rng.random(phones.size) >= del_rate
         kept = phones[keep]
         # One uniform per kept phone decides an insertion after it — the
-        # same draws, in the same order, as the scalar reference loop.
+        # same draws, in the same order, as a per-slot loop.
         inserted = rng.random(kept.size) < ins_rate
         n_slots = int(kept.size + inserted.sum())
         # Universal id per slot; -1 marks a spurious (inserted) slot.
@@ -339,45 +323,3 @@ class ConfusionChannelRecognizer:
         slot_phones = np.take_along_axis(top, order, axis=1)
         slot_probs = np.take_along_axis(top_probs, order, axis=1)
         return slot_phones, slot_probs
-
-    def _decode_reference(
-        self, utterance: Utterance, rng: np.random.Generator | int | None = None
-    ) -> Sausage:
-        """The original per-slot decode loop (bitwise oracle for tests)."""
-        rng = ensure_rng(
-            rng if rng is not None else child_rng(0, f"decode/{utterance.utt_id}")
-        )
-        m = self.model
-        err = self._session_error(utterance)
-        phones = utterance.phones
-        n_local = len(self.phone_set)
-        del_rate = min(0.9, m.deletion_rate * (1.0 + 2.0 * err))
-        ins_rate = min(0.9, m.insertion_rate * (1.0 + 2.0 * err))
-        keep = rng.random(phones.size) >= del_rate
-        kept = phones[keep]
-        slots_universal: list[int | None] = []
-        for p in kept:
-            slots_universal.append(int(p))
-            if rng.random() < ins_rate:
-                slots_universal.append(None)  # a spurious slot
-        if not slots_universal:
-            slots_universal = [int(phones[0])] if phones.size else []
-        uniform = np.full(n_local, 1.0 / n_local)
-        slots: list[SausageSlot] = []
-        projection = self.session_projection(utterance.session)
-        jitter_conc = 60.0 * (1.0 - err) + 4.0
-        for u in slots_universal:
-            if u is None:
-                base = uniform.copy()
-            else:
-                base = projection[u]
-            probs = (1.0 - err) * base + err * uniform
-            noisy = rng.gamma(np.maximum(probs * jitter_conc, 1e-3))
-            total = noisy.sum()
-            probs = noisy / total if total > 0 else uniform
-            top = np.argsort(probs)[::-1][: m.top_k]
-            top_probs = probs[top]
-            top_probs /= top_probs.sum()
-            order = np.argsort(top)
-            slots.append(SausageSlot(top[order].astype(np.int64), top_probs[order]))
-        return Sausage(slots, self.phone_set)

@@ -5,8 +5,10 @@ comes out.  The decoder runs over the composite state space of a
 :class:`~repro.frontend.am.hmm.PhoneHMMSet` (phones × left-to-right
 states) with three structural transition families — self-loop, within-phone
 advance, and cross-phone arcs scored by a phone-bigram LM — all evaluated
-as whole-vector numpy operations per frame, so the per-frame cost is
-O(S + P²) regardless of Python overhead.
+as whole-array numpy operations per frame over a zero-padded batch of
+utterances, so the per-frame cost is O(B·(S + P²)) and the per-frame
+Python overhead is paid once per batch.  A single utterance is a batch of
+one.
 
 The emitted :class:`~repro.frontend.lattice.Sausage` has one slot per
 Viterbi phone segment; slot posteriors are state-posterior mass (full
@@ -67,11 +69,6 @@ class DecoderConfig:
         ``"fb"`` uses the structured forward-backward state posteriors;
         ``"softmax"`` uses per-frame emission softmax (cheaper, slightly
         less sharp).
-    batch:
-        Decode utterances through the cross-utterance batched DP
-        (:meth:`ViterbiDecoder.decode_batch`).  In float64 the batched
-        lattice is bitwise identical to the per-utterance loop, so this
-        is purely a speed knob and stays out of stage keys.
     dtype:
         DP arithmetic width.  ``"float32"`` halves lattice memory and
         speeds the DP up, at a documented tolerance cost (tables compare
@@ -87,7 +84,6 @@ class DecoderConfig:
     acoustic_scale: float = 0.3
     top_k: int = 5
     posterior_mode: str = "fb"
-    batch: bool = True
     dtype: str = "float64"
     beam: float | None = None
 
@@ -106,10 +102,9 @@ class DecoderConfig:
     def stage_params(self) -> dict[str, object]:
         """Extra stage-key parameters for memoised decode artifacts.
 
-        Only knobs that change the *numbers* are included: batched
-        float64 decoding is bitwise equal to the loop path, so ``batch``
-        never invalidates a cache; ``dtype="float32"`` and finite beams
-        do change results and must key separate artifacts.
+        Only knobs that change the *numbers* are included:
+        ``dtype="float32"`` and finite beams change results and must key
+        separate artifacts; the float64 exact-DP default adds nothing.
         """
         params: dict[str, object] = {}
         if self.dtype != "float64":
@@ -137,96 +132,18 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # Viterbi
     # ------------------------------------------------------------------
-    def viterbi(
-        self, log_likelihood: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Best composite-state path and per-frame cross-arc flags.
-
-        Parameters
-        ----------
-        log_likelihood:
-            Scaled emission scores, shape ``(T, n_states)``.
-
-        Returns
-        -------
-        path:
-            Best state id per frame, shape ``(T,)``.
-        crossed:
-            Boolean per frame; ``True`` where the path entered a *new
-            phone instance* at this frame (used to split repeated phones
-            into separate segments).
-        """
-        hmms = self.hmms
-        t_total, n_states = log_likelihood.shape
-        if n_states != hmms.n_states:
-            raise ValueError("log_likelihood width must equal n_states")
-        if t_total == 0:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        dt = log_likelihood.dtype
-        beam = self.config.beam
-        log_self, log_leave, cross = hmms.transition_blocks()
-        log_self = np.asarray(log_self, dtype=dt)
-        log_leave = np.asarray(log_leave, dtype=dt)
-        cross = np.asarray(cross, dtype=dt)
-        entries = hmms.entry_states()
-        exits = hmms.exit_states()
-        s = hmms.states_per_phone
-        non_entry = np.setdiff1d(np.arange(n_states), entries)
-
-        delta = hmms.initial_log_probs().astype(dt) + log_likelihood[0]
-        bp = np.zeros((t_total, n_states), dtype=np.int32)
-        was_cross = np.zeros((t_total, n_states), dtype=bool)
-        for t in range(1, t_total):
-            stay = delta + log_self
-            adv = np.full(n_states, -np.inf, dtype=dt)
-            if s > 1:
-                adv[non_entry] = delta[non_entry - 1] + log_leave
-            # Cross-phone: from every exit state into every entry state.
-            cross_scores = delta[exits][:, None] + cross  # (P, P)
-            from_phone = np.argmax(cross_scores, axis=0)
-            cross_best = cross_scores[from_phone, np.arange(hmms.n_phones)]
-            new_delta = stay
-            new_bp = np.arange(n_states, dtype=np.int32)
-            adv_better = adv > new_delta
-            new_delta = np.where(adv_better, adv, new_delta)
-            new_bp = np.where(
-                adv_better, np.arange(n_states, dtype=np.int32) - 1, new_bp
-            )
-            cross_flag = np.zeros(n_states, dtype=bool)
-            cross_better = np.full(n_states, -np.inf, dtype=dt)
-            cross_better[entries] = cross_best
-            take_cross = cross_better > new_delta
-            new_delta = np.where(take_cross, cross_better, new_delta)
-            cross_pred = np.zeros(n_states, dtype=np.int32)
-            cross_pred[entries] = exits[from_phone].astype(np.int32)
-            new_bp = np.where(take_cross, cross_pred, new_bp)
-            cross_flag |= take_cross
-            delta = new_delta + log_likelihood[t]
-            if beam is not None:
-                delta = np.where(delta >= delta.max() - beam, delta, -np.inf)
-            bp[t] = new_bp
-            was_cross[t] = cross_flag
-
-        path = np.empty(t_total, dtype=np.int64)
-        crossed = np.zeros(t_total, dtype=bool)
-        path[-1] = int(np.argmax(delta))
-        for t in range(t_total - 1, 0, -1):
-            crossed[t] = was_cross[t, path[t]]
-            path[t - 1] = bp[t, path[t]]
-        crossed[0] = True  # the first frame always opens a phone instance
-        return path, crossed
-
     def viterbi_batch(
         self, log_likelihood: np.ndarray, lengths: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Batched :meth:`viterbi` over a padded lattice tensor.
+        """Best composite-state paths over a padded lattice tensor.
 
         One vectorized DP advances *all* utterances per frame step; rows
         whose utterance already ended are frozen by an active mask, so
-        each row's final ``delta`` is exactly the loop decoder's at that
+        each row's final ``delta`` is the one-utterance DP's at that
         utterance's last frame.  All reductions run along batch-trailing
-        axes, which numpy evaluates identically to the per-utterance
-        calls — in float64 the result is bitwise equal to :meth:`viterbi`.
+        axes, which numpy evaluates per row exactly as it would for a
+        lone utterance — in float64 a row's path does not depend on the
+        rest of the batch.
 
         Parameters
         ----------
@@ -239,8 +156,10 @@ class ViterbiDecoder:
         Returns
         -------
         paths, crosseds:
-            Per-utterance best state paths and cross-arc flags, each
-            trimmed to the utterance's own length.
+            Per-utterance best state ids per frame and cross-arc flags
+            (``True`` where the path entered a *new phone instance* at
+            that frame, used to split repeated phones into separate
+            segments), each trimmed to the utterance's own length.
         """
         hmms = self.hmms
         b, t_max, n_states = log_likelihood.shape
@@ -326,87 +245,13 @@ class ViterbiDecoder:
     # ------------------------------------------------------------------
     # posteriors
     # ------------------------------------------------------------------
-    def state_posteriors(self, log_likelihood: np.ndarray) -> np.ndarray:
-        """Per-frame state posteriors, shape ``(T, n_states)``."""
-        if self.config.posterior_mode == "softmax":
-            scores = log_likelihood - log_likelihood.max(axis=1, keepdims=True)
-            post = np.exp(scores)
-            return post / post.sum(axis=1, keepdims=True)
-        return self._forward_backward(log_likelihood)
-
-    def _structured_step_forward(
-        self, prev: np.ndarray
-    ) -> np.ndarray:
-        """One forward log-sum step through the structured transitions."""
-        hmms = self.hmms
-        log_self, log_leave, cross = hmms.transition_blocks()
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        n_states = hmms.n_states
-        stay = prev + log_self
-        adv = np.full(n_states, -np.inf)
-        if hmms.states_per_phone > 1:
-            non_entry = np.setdiff1d(np.arange(n_states), entries)
-            adv[non_entry] = prev[non_entry - 1] + log_leave
-        cross_scores = prev[exits][:, None] + cross  # (P, P)
-        m = cross_scores.max(axis=0)
-        with np.errstate(over="ignore", divide="ignore"):
-            cross_in = m + np.log(
-                np.exp(cross_scores - np.where(np.isfinite(m), m, 0.0)).sum(axis=0)
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full(n_states, -np.inf)
-        full_cross[entries] = cross_in
-        return np.logaddexp(combined, full_cross)
-
-    def _structured_step_backward(self, nxt: np.ndarray) -> np.ndarray:
-        """One backward log-sum step (``nxt`` already includes emissions)."""
-        hmms = self.hmms
-        log_self, log_leave, cross = hmms.transition_blocks()
-        entries, exits = hmms.entry_states(), hmms.exit_states()
-        n_states = hmms.n_states
-        stay = nxt + log_self
-        adv = np.full(n_states, -np.inf)
-        if hmms.states_per_phone > 1:
-            non_exit = np.setdiff1d(np.arange(n_states), exits)
-            adv[non_exit] = nxt[non_exit + 1] + log_leave
-        # From exit of phone p into entries of all phones q.
-        cross_scores = cross + nxt[entries][None, :]  # (P, P)
-        m = cross_scores.max(axis=1)
-        with np.errstate(over="ignore", divide="ignore"):
-            cross_out = m + np.log(
-                np.exp(cross_scores - np.where(np.isfinite(m), m, 0.0)[:, None]).sum(
-                    axis=1
-                )
-            )
-        combined = np.logaddexp(stay, adv)
-        full_cross = np.full(n_states, -np.inf)
-        full_cross[exits] = cross_out
-        return np.logaddexp(combined, full_cross)
-
-    def _forward_backward(self, log_likelihood: np.ndarray) -> np.ndarray:
-        t_total, n_states = log_likelihood.shape
-        scaled = log_likelihood
-        dt = log_likelihood.dtype
-        alpha = np.empty((t_total, n_states), dtype=dt)
-        alpha[0] = self.hmms.initial_log_probs().astype(dt) + scaled[0]
-        for t in range(1, t_total):
-            alpha[t] = self._structured_step_forward(alpha[t - 1]) + scaled[t]
-        beta = np.empty((t_total, n_states), dtype=dt)
-        beta[-1] = 0.0
-        for t in range(t_total - 2, -1, -1):
-            beta[t] = self._structured_step_backward(beta[t + 1] + scaled[t + 1])
-        log_gamma = alpha + beta
-        log_gamma -= log_gamma.max(axis=1, keepdims=True)
-        gamma = np.exp(log_gamma)
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        return gamma
-
     def _structured_step_forward_batch(self, prev: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_structured_step_forward`; ``prev`` is (B, S).
+        """One forward log-sum step through the structured transitions.
 
-        The cross-phone logsumexp reduces along axis 1 of the (B, P, P)
-        score tensor, which numpy computes per batch row exactly as the
-        unbatched axis-0 reduction — bitwise equal in float64.
+        ``prev`` is (B, S).  The cross-phone logsumexp reduces along
+        axis 1 of the (B, P, P) score tensor, which numpy computes per
+        batch row exactly as the one-utterance axis-0 reduction — bitwise
+        equal in float64.
         """
         hmms = self.hmms
         dt = prev.dtype
@@ -424,7 +269,7 @@ class ViterbiDecoder:
         # ascontiguousarray: the broadcast puts the batch axis fastest in
         # memory, which flips numpy's last-axis reduction from pairwise
         # to strided-sequential summation — a different float sum than
-        # the unbatched step.  A C-layout copy restores bitwise parity.
+        # the one-utterance step.  A C-layout copy restores bitwise parity.
         cross_scores = np.ascontiguousarray(
             prev[:, exits, None] + cross[None]
         )  # (B, P, P)
@@ -442,7 +287,7 @@ class ViterbiDecoder:
         return np.logaddexp(combined, full_cross)
 
     def _structured_step_backward_batch(self, nxt: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_structured_step_backward`; ``nxt`` is (B, S)."""
+        """One backward log-sum step; ``nxt`` is (B, S) with emissions."""
         hmms = self.hmms
         dt = nxt.dtype
         log_self, log_leave, cross = hmms.transition_blocks()
@@ -457,7 +302,7 @@ class ViterbiDecoder:
             non_exit = np.setdiff1d(np.arange(n_states), exits)
             adv[:, non_exit] = nxt[:, non_exit + 1] + log_leave
         # See the forward step: force C layout so the axis-2 reduction
-        # keeps the unbatched pairwise summation order.
+        # keeps the one-utterance pairwise summation order.
         cross_scores = np.ascontiguousarray(
             cross[None] + nxt[:, entries][:, None, :]
         )  # (B, P, P)
@@ -477,13 +322,13 @@ class ViterbiDecoder:
     def _forward_backward_batch(
         self, log_likelihood: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`_forward_backward` over a padded (B, T, S) tensor.
+        """Structured forward-backward over a padded (B, T, S) tensor.
 
         Rows are padded with zeros past their length; padded frames carry
         junk posteriors that callers must not read (each utterance's
         consumer slices ``[:length]``).  The backward recursion re-anchors
         ``beta = 0`` at every row's own final frame, so valid frames are
-        bitwise equal to the unbatched recursion in float64.
+        bitwise equal to the one-utterance recursion in float64.
         """
         b, t_max, n_states = log_likelihood.shape
         dt = log_likelihood.dtype
@@ -512,7 +357,7 @@ class ViterbiDecoder:
     def state_posteriors_batch(
         self, log_likelihood: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`state_posteriors` for a padded (B, T, S) tensor."""
+        """Per-frame state posteriors for a padded (B, T, S) tensor."""
         if self.config.posterior_mode == "softmax":
             scores = log_likelihood - log_likelihood.max(axis=2, keepdims=True)
             post = np.exp(scores)
@@ -536,23 +381,8 @@ class ViterbiDecoder:
         return loglik.astype(self.config.np_dtype, copy=False)
 
     def decode(self, frames: np.ndarray) -> Sausage:
-        """Decode feature frames into a posterior sausage."""
-        frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-        _DECODES.inc()
-        _DECODE_FRAMES.observe(float(frames.shape[0]))
-        loglik = self._scaled_loglik(frames)
-        path, crossed = self.viterbi(loglik)
-        if path.size == 0:
-            return Sausage([], self.phone_set)
-        posteriors = self.state_posteriors(loglik)
-        # Fold composite-state posteriors to phone posteriors.
-        s = self.hmms.states_per_phone
-        phone_post = posteriors.reshape(
-            posteriors.shape[0], self.hmms.n_phones, s
-        ).sum(axis=2)
-        phone_path = path // s
-        slots = self._segment_slots(phone_path, crossed, phone_post)
-        return Sausage(slots, self.phone_set)
+        """Decode one utterance's feature frames (a batch of one)."""
+        return self.decode_batch([frames])[0]
 
     def decode_batch(self, frames_list: list[np.ndarray]) -> list[Sausage]:
         """Decode a batch of utterances through one padded-lattice DP.
@@ -562,17 +392,14 @@ class ViterbiDecoder:
         at once — per-frame Python overhead is paid once per batch
         instead of once per utterance.  Emissions stay per-utterance
         (batching them would re-block the GEMM and perturb float sums),
-        so in float64 each sausage is bitwise identical to
-        :meth:`decode`.  With ``config.batch`` false this falls back to
-        the per-utterance loop.
+        so in float64 each sausage is bitwise identical to decoding its
+        utterance alone.
         """
         frames_list = [
             np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in frames_list
         ]
         if not frames_list:
             return []
-        if not self.config.batch:
-            return [self.decode(f) for f in frames_list]
         _DECODES.inc(len(frames_list))
         for f in frames_list:
             _DECODE_FRAMES.observe(float(f.shape[0]))

@@ -1,8 +1,8 @@
 """Phone recognizer facade and the trained acoustic recognizer.
 
 A *phone recognizer* in this package is anything exposing ``name``,
-``phone_set`` and ``decode(utterance, rng) -> Sausage``.  Two families
-implement the protocol:
+``phone_set`` and ``decode_batch(utterances, rngs) -> list[Sausage]``.
+Two families implement the protocol:
 
 - :class:`~repro.frontend.confusion.ConfusionChannelRecognizer` — symbolic,
   used for sweep-scale experiments;
@@ -13,6 +13,8 @@ implement the protocol:
   (the synthetic stand-in for "100 h of Switchboard English" etc.), so
   decoding the LRE target languages is genuinely cross-lingual, as in the
   paper.
+
+The system decodes only through :func:`decode_utterances`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.frontend.lattice import Sausage
 from repro.utils.rng import child_rng, ensure_rng
 from repro.utils.validation import check_in
 
-__all__ = ["PhoneRecognizer", "AcousticPhoneRecognizer"]
+__all__ = ["PhoneRecognizer", "AcousticPhoneRecognizer", "decode_utterances"]
 
 
 @runtime_checkable
@@ -54,11 +56,31 @@ class PhoneRecognizer(Protocol):
     def phone_set(self):  # pragma: no cover - protocol signature only
         ...
 
-    def decode(
-        self, utterance: Utterance, rng: np.random.Generator | int | None = None
-    ) -> Sausage:  # pragma: no cover - protocol signature only
-        """Decode one utterance into a posterior sausage."""
+    def decode_batch(
+        self,
+        utterances: list[Utterance],
+        rngs: list[np.random.Generator] | None = None,
+    ) -> list[Sausage]:  # pragma: no cover - protocol signature only
+        """Decode utterances into posterior sausages, one RNG each."""
         ...
+
+
+def decode_utterances(
+    frontend: PhoneRecognizer, seed: int, utterances: list[Utterance]
+) -> list[Sausage]:
+    """Decode ``utterances`` with the system's per-utterance RNG keying.
+
+    Utterance ``u`` draws from ``child_rng(seed,
+    "decode/<frontend>/<u.utt_id>")`` whatever else is in the call, so
+    the same seed gives the same sausage in a φ stage's whole-corpus
+    call, in a quarantine re-run of one utterance and in the serving
+    engine's batch of cache misses.
+    """
+    rngs = [
+        child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
+        for u in utterances
+    ]
+    return frontend.decode_batch(list(utterances), rngs)
 
 
 class AcousticPhoneRecognizer:
@@ -223,16 +245,10 @@ class AcousticPhoneRecognizer:
     def decode(
         self, utterance: Utterance, rng: np.random.Generator | int | None = None
     ) -> Sausage:
-        """Render the utterance acoustically and Viterbi-decode it."""
-        if self._decoder is None:
-            raise RuntimeError(f"recognizer {self.name!r} is not trained")
-        rng = ensure_rng(
-            rng
-            if rng is not None
-            else child_rng(self.seed, f"decode/{utterance.utt_id}")
-        )
-        frames = self.features(self.acoustics.emit(utterance, rng))
-        return self._decoder.decode(frames)
+        """Render one utterance acoustically and decode it (a batch of one)."""
+        return self.decode_batch(
+            [utterance], None if rng is None else [rng]
+        )[0]
 
     def stage_params(self) -> dict[str, object]:
         """Decode parameters that change numerics (→ memoisation keys)."""
@@ -245,10 +261,10 @@ class AcousticPhoneRecognizer:
     ) -> list[Sausage]:
         """Decode many utterances through one batched lattice DP.
 
-        Acoustic rendering stays per-utterance with exactly the RNG
-        stream :meth:`decode` would use (``child_rng(seed,
-        "decode/<utt_id>")`` when ``rngs`` is not given), so in float64
-        the sausages are bitwise identical to looping :meth:`decode`.
+        Acoustic rendering stays per-utterance, each from its own RNG
+        (``child_rng(seed, "decode/<utt_id>")`` when ``rngs`` is not
+        given), so in float64 a sausage does not depend on the rest of
+        the batch.
         """
         if self._decoder is None:
             raise RuntimeError(f"recognizer {self.name!r} is not trained")

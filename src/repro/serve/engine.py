@@ -2,8 +2,9 @@
 
 :class:`ScoringEngine` wraps a loaded
 :class:`~repro.serve.artifacts.TrainedSystem` and scores utterances the
-exact way the offline pipeline does — same deterministic decode RNG
-streams, same fitted TFLLR/SVM/fusion state — so served scores are
+exact way the offline pipeline does — the same decode call
+(:func:`repro.frontend.decode_utterances`, one batched decode per batch of
+cache misses), same fitted TFLLR/SVM/fusion state — so served scores are
 bitwise identical to :meth:`repro.core.pipeline.PhonotacticSystem.
 fused_scores` on the same utterances.
 
@@ -73,21 +74,19 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from contextlib import contextmanager
-from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.backend.fusion import linear_fusion
 from repro.corpus.generator import Utterance
+from repro.frontend.recognizer import decode_utterances
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.artifacts import TrainedSystem
 from repro.serve.cache import ScoreCache
 from repro.faults.injection import FaultPlan
 from repro.serve.protocol import utterance_digest
-from repro.utils.parallel import effective_workers, pmap
-from repro.utils.rng import child_rng
 
 __all__ = [
     "ScoringEngine",
@@ -128,28 +127,6 @@ class EngineClosedError(RuntimeError):
 
 class AllFrontendsDownError(RuntimeError):
     """Every frontend failed or is circuit-broken; nothing can score."""
-
-
-def _decode_one(frontend, seed: int, utterance: Utterance):
-    """Decode with the pipeline's RNG keying (picklable for pmap)."""
-    return frontend.decode(
-        utterance, child_rng(seed, f"decode/{frontend.name}/{utterance.utt_id}")
-    )
-
-
-def _decode_many(frontend, seed: int, utterances: list[Utterance]):
-    """Batched decode with the same RNG keying (picklable for pmap).
-
-    Falls back to the scalar loop for frontends without a batched
-    decoder; with one, the batch is bitwise-identical in float64.
-    """
-    if hasattr(frontend, "decode_batch"):
-        rngs = [
-            child_rng(seed, f"decode/{frontend.name}/{u.utt_id}")
-            for u in utterances
-        ]
-        return frontend.decode_batch(utterances, rngs)
-    return [_decode_one(frontend, seed, u) for u in utterances]
 
 
 def _settle(future: Future, *, result=None, exception=None) -> bool:
@@ -215,9 +192,6 @@ class ScoringEngine:
     cache_entries:
         Size bound of the supervector-score cache (``None`` unbounded,
         ``0`` disables caching).
-    workers:
-        Decode fan-out width for :func:`repro.utils.parallel.pmap`;
-        ``None`` auto-sizes (honouring ``REPRO_WORKERS``).
     max_queue:
         Admission-control bound on the submit queue; once this many
         requests are waiting, :meth:`submit` raises
@@ -252,7 +226,6 @@ class ScoringEngine:
         batch_window: float = 0.02,
         max_batch: int = 32,
         cache_entries: int | None = 512,
-        workers: int | None = None,
         max_queue: int | None = 1024,
         deadline: float | None = None,
         breaker_threshold: int = 3,
@@ -275,7 +248,6 @@ class ScoringEngine:
         self.trained = trained
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
-        self.workers = workers
         self.max_queue = None if max_queue is None else int(max_queue)
         self.deadline = None if deadline is None else float(deadline)
         self.breaker_threshold = int(breaker_threshold)
@@ -672,26 +644,9 @@ class ScoringEngine:
                 try:
                     self.faults.apply(frontend.name)
                     with self._stage("decoding", audio_seconds=audio):
-                        n_chunks = max(
-                            1,
-                            min(
-                                len(miss_utts),
-                                effective_workers(self.workers),
-                            ),
+                        sausages = decode_utterances(
+                            frontend, seed, miss_utts
                         )
-                        chunks = [
-                            list(c)
-                            for c in np.array_split(
-                                np.array(miss_utts, dtype=object), n_chunks
-                            )
-                            if len(c)
-                        ]
-                        batches = pmap(
-                            partial(_decode_many, frontend, seed),
-                            chunks,
-                            workers=self.workers,
-                        )
-                        sausages = [s for b in batches for s in b]
                     with self._stage("sv_generation", audio_seconds=audio):
                         raw_by_frontend[frontend.name] = self._extractors[
                             frontend.name

@@ -1,13 +1,15 @@
-"""Utterance-level parallel map.
+"""Utterance-level parallel map over chunks.
 
 The paper's system runs Q phone recognizers *in parallel* over the corpus;
-in this reproduction the unit of parallel work is "decode one utterance"
-or "build one supervector".  :func:`pmap` provides a scatter/gather idiom
+in this reproduction the unit of parallel work is a *chunk* of utterances
+decoded in one batched call.  :func:`pmap` provides a scatter/gather idiom
 (the pure-Python analogue of the mpi4py ``scatter``/``gather`` pattern from
-the HPC guides): work is chunked, fanned out to a process pool, and
-gathered back in order.  On a single-core host — or for small inputs where
-pickling would dominate — it degrades to a plain serial map, so callers
-never branch on the execution environment.
+the HPC guides): ``fn`` maps a list of items to a list of results, the
+items are split into contiguous chunks, each chunk is one ``fn`` call in a
+process pool, and the results are gathered back in input order.  On a
+single-core host — or for small inputs where pickling would dominate — it
+is one ``fn`` call over every item in this process, so callers never
+branch on the execution environment.
 
 Fault tolerance
 ---------------
@@ -16,25 +18,28 @@ routine (a corrupt utterance, a worker OOM-killed mid-chunk), and losing
 a whole map to one of them throws away the expensive part of the run.
 ``pmap`` therefore degrades in two steps rather than aborting:
 
-1. **Serial fallback** — a chunk whose future fails (an exception from
-   ``fn``, or the pool itself breaking with ``BrokenProcessPool`` when a
-   worker dies) is re-run item by item in the parent process, counted by
-   ``parallel.pmap.serial_fallbacks``.  Chunks that already completed
-   are never recomputed.  Once the pool is broken all remaining chunks
-   run serially and the ``parallel.pmap.workers`` gauge is reset to 1 so
-   it never advertises a dead pool's width.
-2. **Quarantine** (opt-in, ``on_error="quarantine"``) — an item that
-   *still* raises during the serial re-run is recorded in
-   ``quarantined`` / ``parallel.pmap.quarantined`` and its slot filled
-   with ``quarantine_value`` instead of propagating.  A configurable
-   fraction cap (``max_quarantine_fraction``) turns "a few bad
-   utterances" into a skip-and-record and "most of the corpus failing"
-   into a hard :class:`QuarantineExceededError` — silently dropping half
-   the data would corrupt every downstream table.
+1. **Serial fallback** — a pool chunk whose future fails (an exception
+   from ``fn``, or the pool itself breaking with ``BrokenProcessPool``
+   when a worker dies) is re-run one item at a time, ``fn([item])``, in
+   the parent process, counted by ``parallel.pmap.serial_fallbacks``.
+   Chunks that already completed are never recomputed.  Once the pool is
+   broken all remaining chunks run serially and the
+   ``parallel.pmap.workers`` gauge is reset to 1 so it never advertises a
+   dead pool's width.
+2. **Quarantine** (opt-in, ``on_error="quarantine"``) — an item whose
+   one-item call *still* raises is recorded in ``quarantined`` /
+   ``parallel.pmap.quarantined`` and its slot filled with
+   ``quarantine_value`` instead of propagating.  Without a pool the
+   whole-input call is re-run one item at a time the same way when it
+   raises.  A configurable fraction cap (``max_quarantine_fraction``)
+   turns "a few bad utterances" into a skip-and-record and "most of the
+   corpus failing" into a hard :class:`QuarantineExceededError` —
+   silently dropping half the data would corrupt every downstream table.
 
-With the default ``on_error="fail"`` the serial re-run re-raises the
-item's exception, so transient worker faults are absorbed but
-deterministic bugs still surface with their original traceback.
+With the default ``on_error="fail"`` an item that still raises on its
+own propagates its exception (without a pool, the whole-input call's
+exception propagates directly), so transient worker faults are absorbed
+but deterministic bugs still surface with their original traceback.
 
 Chaos drills can target the worker side: an ambient
 ``REPRO_FAULTS=error:pmap:<times>`` plan (see
@@ -144,8 +149,18 @@ def chunked(items: Sequence[T], n_chunks: int) -> list[list[T]]:
     return out
 
 
+def _call(fn: Callable[[list[T]], list[R]], chunk: list[T]) -> list[R]:
+    """One ``fn`` call over ``chunk``, checked to return one result each."""
+    results = list(fn(chunk))
+    if len(results) != len(chunk):
+        raise ValueError(
+            f"pmap fn returned {len(results)} results for {len(chunk)} items"
+        )
+    return results
+
+
 def _apply_chunk(
-    fn: Callable[[T], R], chunk: list[T]
+    fn: Callable[[list[T]], list[R]], chunk: list[T]
 ) -> tuple[list[R], dict | None]:
     # Chaos hook, pool workers only: the parent's serial fallback must
     # stay injection-free or a transient worker fault would recur there
@@ -157,7 +172,7 @@ def _apply_chunk(
         # values, and pool workers are reused across chunks — reset so
         # the snapshot shipped back is this chunk's delta only.
         default_registry().reset()
-    results = [fn(item) for item in chunk]
+    results = _call(fn, chunk)
     metrics = (
         default_registry().snapshot(include_samples=True)
         if in_worker
@@ -166,26 +181,26 @@ def _apply_chunk(
     return results, metrics
 
 
-def _run_serial(
-    fn: Callable[[T], R],
+def _run_items(
+    fn: Callable[[list[T]], list[R]],
     chunk: list[T],
     offset: int,
     results: list[R | None],
     failures: list[tuple[int, BaseException]],
     on_error: str,
 ) -> None:
-    """Run one chunk item by item in the parent, recording failures."""
+    """Re-run one chunk item by item in the parent, recording failures."""
     for j, item in enumerate(chunk):
         try:
-            results[offset + j] = fn(item)
-        except BaseException as exc:  # noqa: BLE001 - dispatched on mode
+            (results[offset + j],) = _call(fn, [item])
+        except Exception as exc:  # noqa: BLE001 - dispatched on mode
             if on_error == "fail":
                 raise
             failures.append((offset + j, exc))
 
 
 def pmap(
-    fn: Callable[[T], R],
+    fn: Callable[[list[T]], list[R]],
     items: Iterable[T],
     workers: int | None = 1,
     *,
@@ -194,22 +209,25 @@ def pmap(
     quarantine_value: R | None = None,
     quarantined: list[int] | None = None,
 ) -> list[R]:
-    """Map ``fn`` over ``items``, optionally with a process pool.
+    """Map the chunk function ``fn`` over ``items``, optionally in a pool.
 
     Parameters
     ----------
     fn:
-        A picklable callable (top-level function or functools.partial of
-        one) when ``workers > 1``.
+        Maps a list of items to the list of their results, one per item
+        and in order.  Must be picklable (a top-level function or a
+        functools.partial of one) when ``workers > 1``.
     items:
         Input sequence; results are returned in input order.
     workers:
-        ``1`` (default) runs serially.  ``None``/``0`` auto-sizes to the
-        host.  Any resolved count of 1, or fewer than a minimum batch of
-        items, also falls back to serial execution.
+        ``1`` (default) runs serially: one ``fn`` call over all items.
+        ``None``/``0`` auto-sizes to the host.  Any resolved count of 1,
+        or fewer than a minimum batch of items, also runs serially;
+        otherwise each pool chunk is one ``fn`` call.
     on_error:
-        ``"fail"`` (default): after a failed chunk is re-run serially,
-        an item that still raises propagates its exception.
+        ``"fail"`` (default): after a failed pool chunk is re-run one
+        item at a time, an item that still raises propagates its
+        exception.
         ``"quarantine"``: persistently failing items are skipped — their
         result slot is filled with ``quarantine_value`` and their index
         appended to ``quarantined`` — unless more than
@@ -241,7 +259,12 @@ def pmap(
     failures: list[tuple[int, BaseException]] = []
 
     if serial:
-        _run_serial(fn, items, 0, results, failures, on_error)
+        try:
+            results = _call(fn, items)
+        except Exception:  # noqa: BLE001 - isolated item by item
+            if on_error == "fail":
+                raise
+            _run_items(fn, items, 0, results, failures, on_error)
     else:
         chunks = chunked(items, n_workers * 4)
         offsets: list[int] = []
@@ -264,12 +287,12 @@ def pmap(
                     broken = True
                     _PMAP_WORKERS.set(1)
                     _PMAP_FALLBACKS.inc()
-                    _run_serial(
+                    _run_items(
                         fn, chunks[i], offsets[i], results, failures, on_error
                     )
                 except BaseException:  # noqa: BLE001 - retried serially
                     _PMAP_FALLBACKS.inc()
-                    _run_serial(
+                    _run_items(
                         fn, chunks[i], offsets[i], results, failures, on_error
                     )
                 else:
@@ -280,8 +303,7 @@ def pmap(
                         # with the pool — merge them into this process.
                         default_registry().absorb(worker_metrics)
                     off = offsets[i]
-                    for j, value in enumerate(chunk_values):
-                        results[off + j] = value
+                    results[off : off + len(chunk_values)] = chunk_values
         finally:
             pool.shutdown(wait=not broken, cancel_futures=True)
 

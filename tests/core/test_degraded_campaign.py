@@ -65,10 +65,11 @@ class _FlakyFrontend:
         self.name = inner.name
         self.phone_set = inner.phone_set
 
-    def decode(self, utterance, rng):
-        if utterance.utt_id in self._bad:
-            raise ValueError(f"undecodable utterance {utterance.utt_id}")
-        return self._inner.decode(utterance, rng)
+    def decode_batch(self, utterances, rngs):
+        for utterance in utterances:
+            if utterance.utt_id in self._bad:
+                raise ValueError(f"undecodable utterance {utterance.utt_id}")
+        return self._inner.decode_batch(utterances, rngs)
 
 
 class TestRetry:

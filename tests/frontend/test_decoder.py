@@ -13,6 +13,7 @@ from repro.frontend.decoder import (
     ViterbiDecoder,
     estimate_phone_bigram,
 )
+from tests.frontend import decode_oracle
 
 PS3 = PhoneSet("t3", ("a", "b", "c"))
 
@@ -91,10 +92,12 @@ class TestViterbi:
         loglik = decoder.config.acoustic_scale * (
             decoder.hmms.emission.frame_log_likelihood(frames)
         )
-        path, crossed = decoder.viterbi(loglik)
+        lengths = np.array([loglik.shape[0]])
+        paths, crosseds = decoder.viterbi_batch(loglik[None], lengths)
+        path, crossed = paths[0], crosseds[0]
         assert path.shape == (8,)
         assert crossed[0]
-        post = decoder.state_posteriors(loglik)
+        post = decoder.state_posteriors_batch(loglik[None], lengths)[0]
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
     def test_softmax_mode_also_decodes(self, rng):
@@ -124,13 +127,15 @@ class TestViterbi:
         decoder, means = separated_decoder()
         frames = render(means, [0, 1, 2], 3, rng)
         loglik = decoder.hmms.emission.frame_log_likelihood(frames)
-        gamma = decoder.state_posteriors(loglik)
+        gamma = decoder.state_posteriors_batch(
+            loglik[None], np.array([loglik.shape[0]])
+        )[0]
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-8)
 
     def test_mismatched_width_rejected(self, rng):
         decoder, _ = separated_decoder()
         with pytest.raises(ValueError):
-            decoder.viterbi(np.zeros((5, 99)))
+            decoder.viterbi_batch(np.zeros((1, 5, 99)), np.array([5]))
 
     def test_phone_set_size_checked(self, rng):
         decoder, _ = separated_decoder()
@@ -204,24 +209,40 @@ def _render_batch(means, rng):
     ]
 
 
+def _oracle_loop(decoder, frames_list):
+    """The one-utterance scalar DP over every utterance (test oracle)."""
+    return [decode_oracle.decode(decoder, f) for f in frames_list]
+
+
 class TestBatchParity:
-    """decode_batch must reproduce the loop decoder: bitwise in float64,
-    within the documented tolerance in float32."""
+    """decode_batch must reproduce the scalar one-utterance DP oracle:
+    bitwise in float64, within the documented tolerance in float32."""
 
     @pytest.mark.parametrize("mode", ["fb", "softmax"])
     def test_float64_bitwise(self, rng, mode):
         decoder, means = separated_decoder(posterior_mode=mode, top_k=3)
         frames_list = _render_batch(means, rng)
         batch = decoder.decode_batch(frames_list)
-        loop = [decoder.decode(f) for f in frames_list]
-        _assert_sausages_bitwise_equal(batch, loop)
+        _assert_sausages_bitwise_equal(
+            batch, _oracle_loop(decoder, frames_list)
+        )
 
     def test_float64_bitwise_with_beam(self, rng):
         decoder, means = separated_decoder(beam=40.0)
         frames_list = _render_batch(means, rng)
         _assert_sausages_bitwise_equal(
             decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            _oracle_loop(decoder, frames_list),
+        )
+
+    def test_float64_bitwise_with_tight_beam(self, rng):
+        # A beam that actually prunes: the batched row-wise frame-best
+        # must prune exactly the states the scalar DP prunes.
+        decoder, means = separated_decoder(beam=2.0)
+        frames_list = _render_batch(means, rng)
+        _assert_sausages_bitwise_equal(
+            decoder.decode_batch(frames_list),
+            _oracle_loop(decoder, frames_list),
         )
 
     def test_single_frame_only_batch(self, rng):
@@ -230,8 +251,26 @@ class TestBatchParity:
         frames_list = [render(means, [p], 1, rng)[:1] for p in (0, 1, 2)]
         _assert_sausages_bitwise_equal(
             decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            _oracle_loop(decoder, frames_list),
         )
+
+    def test_paths_and_posteriors_match_oracle(self, rng):
+        # The DP outputs themselves, not only the sausages built on them.
+        decoder, means = separated_decoder(beam=40.0)
+        frames_list = _render_batch(means, rng)
+        logliks = [decoder._scaled_loglik(f) for f in frames_list]
+        lengths = np.array([ll.shape[0] for ll in logliks])
+        lattice = np.zeros((len(logliks), lengths.max(), decoder.hmms.n_states))
+        for i, ll in enumerate(logliks):
+            lattice[i, : ll.shape[0]] = ll
+        paths, crosseds = decoder.viterbi_batch(lattice, lengths)
+        posteriors = decoder.state_posteriors_batch(lattice, lengths)
+        for i, ll in enumerate(logliks):
+            path, crossed = decode_oracle.viterbi(decoder, ll)
+            np.testing.assert_array_equal(paths[i], path)
+            np.testing.assert_array_equal(crosseds[i], crossed)
+            want = decode_oracle.state_posteriors(decoder, ll)
+            assert posteriors[i, : ll.shape[0]].tobytes() == want.tobytes()
 
     def test_empty_utterance_in_batch(self, rng):
         decoder, means = separated_decoder()
@@ -243,22 +282,14 @@ class TestBatchParity:
         batch = decoder.decode_batch(frames_list)
         assert len(batch[1]) == 0
         _assert_sausages_bitwise_equal(
-            batch, [decoder.decode(f) for f in frames_list]
-        )
-
-    def test_batch_disabled_falls_back_to_loop(self, rng):
-        decoder, means = separated_decoder(batch=False)
-        frames_list = _render_batch(means, rng)
-        _assert_sausages_bitwise_equal(
-            decoder.decode_batch(frames_list),
-            [decoder.decode(f) for f in frames_list],
+            batch, _oracle_loop(decoder, frames_list)
         )
 
     def test_float32_batch_matches_loop_within_tolerance(self, rng):
         decoder, means = separated_decoder(dtype="float32")
         frames_list = _render_batch(means, rng)
         batch = decoder.decode_batch(frames_list)
-        loop = [decoder.decode(f) for f in frames_list]
+        loop = _oracle_loop(decoder, frames_list)
         assert len(batch) == len(loop)
         for sb, sl in zip(batch, loop):
             assert len(sb) == len(sl)

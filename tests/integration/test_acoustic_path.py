@@ -66,3 +66,40 @@ class TestAcousticPipeline:
         sausage = fe.decode(utt, 0)
         # At least some slots must carry real alternatives (not 1-best).
         assert any(slot.phones.size > 1 for slot in sausage.slots)
+
+
+class TestFloat32PhiAcrossErrorModes:
+    """``on_error`` is not part of the φ stage key, so every mode must
+    store the same bytes under it — float32 decoding included."""
+
+    def test_quarantine_phi_matrix_bitwise_equals_fail(self):
+        bundle = make_corpus_bundle(
+            CorpusConfig(
+                n_languages=2,
+                n_families=1,
+                train_per_language=4,
+                dev_per_language=2,
+                test_per_language=2,
+                durations=(3.0,),
+                train_duration=10.0,
+                seed=31,
+            )
+        )
+        frontends = build_frontends(
+            bundle,
+            mode="acoustic",
+            specs=(FrontendSpec("AC32", "gmm", 14, tau=0.5, base_error=0.1),),
+            train_utterances=4,
+            top_k=3,
+            decode_dtype="float32",
+        )
+        matrices = {
+            mode: PhonotacticSystem(
+                bundle, frontends, SystemConfig(orders=(1, 2)), on_error=mode
+            ).raw_matrix(frontends[0], "train")
+            for mode in ("fail", "quarantine")
+        }
+        fail, quarantine = matrices["fail"], matrices["quarantine"]
+        assert fail.indptr.tobytes() == quarantine.indptr.tobytes()
+        assert fail.indices.tobytes() == quarantine.indices.tobytes()
+        assert fail.values.tobytes() == quarantine.values.tobytes()

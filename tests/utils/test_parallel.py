@@ -1,4 +1,4 @@
-"""Tests for the scatter/gather parallel map."""
+"""Tests for the scatter/gather parallel map over chunk functions."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 from repro.utils.parallel import chunked, effective_workers, pmap
 
 
-def _square(x: int) -> int:
-    return x * x
+def _square(xs: list[int]) -> list[int]:
+    return [x * x for x in xs]
 
 
 class TestChunked:
@@ -54,7 +54,11 @@ class TestPmap:
     def test_small_input_stays_serial_even_with_workers(self):
         # Below the parallel threshold the pool must not be spun up;
         # lambdas (unpicklable) prove the serial path was taken.
-        assert pmap(lambda x: x + 1, [1, 2, 3], workers=4) == [2, 3, 4]
+        assert pmap(lambda xs: [x + 1 for x in xs], [1, 2, 3], workers=4) == [
+            2,
+            3,
+            4,
+        ]
 
     def test_parallel_matches_serial(self):
         items = list(range(100))
@@ -63,6 +67,34 @@ class TestPmap:
     def test_order_preserved_parallel(self):
         items = list(range(64))
         assert pmap(_square, items, workers=2) == [x * x for x in items]
+
+    def test_serial_path_is_one_call_over_all_items(self):
+        calls: list[list[int]] = []
+
+        def record(xs):
+            calls.append(list(xs))
+            return _square(xs)
+
+        items = list(range(64))
+        assert pmap(record, items, workers=1) == [x * x for x in items]
+        assert calls == [items]
+
+    def test_pool_runs_one_call_per_chunk(self):
+        # Each chunk is one fn call in a worker; the calls counted there
+        # merge back into the parent registry.
+        from repro.obs.metrics import default_registry
+
+        counter = default_registry().counter("test.pmap.chunk_calls")
+        base = counter.value
+        items = list(range(64))
+        assert pmap(_square_counting_calls, items, workers=2) == [
+            x * x for x in items
+        ]
+        assert counter.value == base + 2 * 4
+
+    def test_wrong_result_count_rejected(self):
+        with pytest.raises(ValueError, match="3 items"):
+            pmap(lambda xs: xs[:1], [1, 2, 3], workers=1)
 
 
 class TestReproWorkersEnv:
@@ -121,14 +153,22 @@ class TestWorkersGauge:
 # must land in the parent registry (the decoder's counters used to be
 # silently dropped whenever decode fanned out across processes).
 # ----------------------------------------------------------------------
-def _square_with_metrics(x: int) -> int:
+def _square_with_metrics(xs: list[int]) -> list[int]:
     from repro.obs.metrics import default_registry
 
     reg = default_registry()
-    reg.counter("test.pmap.metrics.calls").inc()
-    reg.histogram("test.pmap.metrics.values", maxlen=256).observe(float(x))
-    reg.gauge("test.pmap.metrics.gauge").set(float(x))
-    return x * x
+    for x in xs:
+        reg.counter("test.pmap.metrics.calls").inc()
+        reg.histogram("test.pmap.metrics.values", maxlen=256).observe(float(x))
+        reg.gauge("test.pmap.metrics.gauge").set(float(x))
+    return [x * x for x in xs]
+
+
+def _square_counting_calls(xs: list[int]) -> list[int]:
+    from repro.obs.metrics import default_registry
+
+    default_registry().counter("test.pmap.chunk_calls").inc()
+    return [x * x for x in xs]
 
 
 class TestWorkerMetricsMerge:
@@ -176,8 +216,8 @@ class TestWorkerMetricsMerge:
         assert counter.value == base + 64
 
 
-def _inc_decoder_counter(x: int) -> int:
+def _inc_decoder_counter(xs: list[int]) -> list[int]:
     from repro.obs.metrics import default_registry
 
-    default_registry().counter("frontend.decoder.decodes").inc()
-    return x
+    default_registry().counter("frontend.decoder.decodes").inc(len(xs))
+    return xs

@@ -26,22 +26,25 @@ def clean_slate(monkeypatch):
     default_registry().reset()
 
 
-def _square(x: int) -> int:
-    return x * x
+def _square(xs: list[int]) -> list[int]:
+    return [x * x for x in xs]
 
 
-def _fail_on_tens(x: int) -> int:
-    if x % 10 == 0:
-        raise ValueError(f"bad item {x}")
-    return x * x
+def _fail_on_tens(xs: list[int]) -> list[int]:
+    # A chunk holding any multiple of ten fails as a whole; re-run one
+    # item at a time, only the multiples of ten still fail.
+    for x in xs:
+        if x % 10 == 0:
+            raise ValueError(f"bad item {x}")
+    return [x * x for x in xs]
 
 
-def _die_in_worker(x: int) -> int:
+def _die_in_worker(xs: list[int]) -> list[int]:
     # Kill the pool worker process outright; the parent's serial re-run
     # (where there is no parent process) computes the value normally.
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    return x * x
+    return [x * x for x in xs]
 
 
 def _quarantined() -> float:
